@@ -4,13 +4,11 @@ Unlike the figure benches, this one measures the *simulator*, not the
 simulated system: wall-clock for the cycle-stepped reference engine vs
 the event-skip engine on the same coarse-grain locking workload (short
 critical sections separated by long parallel compute, the regime the
-paper's Section F cost model assumes), along both dispatch cores
-(``compiled`` dense tables vs the ``interpreted`` transition-table IR),
-plus a raw table-lookup microbenchmark and process-parallel sweep
-scaling.  All engine/dispatch combinations must produce identical
-statistics; the timings land in ``BENCH_engine.json`` (schema v4) for
-``scripts/perf_guard.py``, including the observability hook-layer
-overhead section (null observer vs tracing off vs tracing on).
+paper's Section F cost model assumes), plus process-parallel sweep
+scaling.  Both engines must produce identical statistics; the timings
+land in ``BENCH_engine.json`` for ``scripts/perf_guard.py``, including
+the observability hook-layer overhead section (null observer vs
+tracing off vs tracing on).
 """
 
 from __future__ import annotations
@@ -36,10 +34,6 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 ENGINE_PARAMS = dict(processors=16, rounds=40, think_cycles=4000)
 SWEEP_JOBS = 4
 SWEEP_POINTS = [2, 4, 6, 8, 10, 12, 14, 16]
-#: Table-lookup microbenchmark: rounds over every (state, event, guard)
-#: a protocol's rules actually exercise.
-LOOKUP_PROTOCOL = "bitar-despain"
-LOOKUP_ROUNDS = 2000
 #: Fabric-scalability comparison: machine sizes measured for every
 #: fabric kind on the constant-total-work ``scale-probe`` workload.
 TOPOLOGY_SCALES = (64, 256, 1024)
@@ -80,14 +74,12 @@ def _snapshot(stats, n: int) -> dict:
     return d
 
 
-def _time_run(config, programs, fast_forward: bool, repeats: int = 3,
-              dispatch: str | None = None):
+def _time_run(config, programs, fast_forward: bool, repeats: int = 3):
     """Best-of-``repeats`` wall clock and the final stats."""
     best = None
     stats = None
     for _ in range(repeats):
-        sim = Simulator(config, programs, fast_forward=fast_forward,
-                        dispatch=dispatch)
+        sim = Simulator(config, programs, fast_forward=fast_forward)
         t0 = time.perf_counter()
         stats = sim.run()
         elapsed = time.perf_counter() - t0
@@ -97,13 +89,8 @@ def _time_run(config, programs, fast_forward: bool, repeats: int = 3,
 
 
 def run_engine_comparison() -> dict:
-    """Time stepped vs fast-forward along both dispatch cores.
-
-    The four runs must produce identical statistics.  The flat
-    ``stepped_*``/``fast_forward_*`` keys describe the default
-    (compiled) core -- the shape v2 readers knew -- and
-    ``dispatch[core]`` carries the per-core timings (schema v3).
-    """
+    """Time stepped vs fast-forward; both must produce identical
+    statistics."""
     n = ENGINE_PARAMS["processors"]
     config = _config(n)
     programs = lock_contention(
@@ -111,95 +98,23 @@ def run_engine_comparison() -> dict:
         rounds=ENGINE_PARAMS["rounds"],
         think_cycles=ENGINE_PARAMS["think_cycles"],
     )
-    per_core: dict[str, dict] = {}
-    snapshots: dict[tuple[str, bool], dict] = {}
-    for core in ("compiled", "interpreted"):
-        stepped_s, stepped_stats = _time_run(config, programs,
-                                             fast_forward=False,
-                                             dispatch=core)
-        ff_s, ff_stats = _time_run(config, programs, fast_forward=True,
-                                   dispatch=core)
-        snapshots[(core, False)] = _snapshot(stepped_stats, n)
-        snapshots[(core, True)] = _snapshot(ff_stats, n)
-        cycles = stepped_stats.cycles
-        per_core[core] = {
-            "cycles": cycles,
-            "stepped_seconds": stepped_s,
-            "stepped_cycles_per_sec": cycles / stepped_s,
-            "fast_forward_seconds": ff_s,
-            "fast_forward_cycles_per_sec": cycles / ff_s,
-            "speedup": stepped_s / ff_s,
-        }
-    reference = snapshots[("interpreted", False)]
-    for key, snapshot in snapshots.items():
-        assert snapshot == reference, (
-            f"{key} diverged from the interpreted stepped engine"
-        )
+    stepped_s, stepped_stats = _time_run(config, programs,
+                                         fast_forward=False)
+    ff_s, ff_stats = _time_run(config, programs, fast_forward=True)
+    assert _snapshot(ff_stats, n) == _snapshot(stepped_stats, n), (
+        "fast-forward diverged from the stepped engine"
+    )
+    cycles = stepped_stats.cycles
     return {
         **ENGINE_PARAMS,
         "protocol": "bitar-despain",
         "workload": "lock_contention",
-        **per_core["compiled"],
-        "dispatch": per_core,
-    }
-
-
-def run_lookup_microbench() -> dict:
-    """Raw transition-lookup throughput: interpreted IR vs compiled
-    dense tables, over every (state, event, guard) context the
-    protocol's own rules exercise -- the exact dispatch work the
-    per-event hot path performs."""
-    from repro.protocols import PROTOCOLS
-    from repro.protocols.compiled import (bit_families_for, compile_table,
-                                          context_of_bits)
-    from repro.protocols.table import GUARD_FAMILIES
-
-    table = PROTOCOLS[LOOKUP_PROTOCOL].table
-    compiled = compile_table(table)
-    # One probe per rule: complete its (possibly partial) guard into a
-    # full context by defaulting every unmentioned family to its
-    # negative atom, so both cores resolve a defined transition.
-    probes = []
-    seen = set()
-    for rule in table.rules:
-        bits = 0
-        for i, family in enumerate(bit_families_for(rule.event)):
-            if GUARD_FAMILIES[family][0] in rule.guard:
-                bits |= 1 << i
-        key = (rule.state, rule.event, bits)
-        if key in seen:
-            continue
-        seen.add(key)
-        probes.append((rule.state, rule.event,
-                       context_of_bits(rule.event, bits), bits))
-
-    for state, event, ctx, bits in probes:
-        assert table.lookup(state, event, ctx) is compiled.lookup_bits(
-            state, event, bits), "cores disagree on a probe"
-
-    t0 = time.perf_counter()
-    for _ in range(LOOKUP_ROUNDS):
-        for state, event, ctx, _ in probes:
-            table.lookup(state, event, ctx)
-    interpreted_s = time.perf_counter() - t0
-
-    lookup_bits = compiled.lookup_bits
-    t0 = time.perf_counter()
-    for _ in range(LOOKUP_ROUNDS):
-        for state, event, _, bits in probes:
-            lookup_bits(state, event, bits)
-    compiled_s = time.perf_counter() - t0
-
-    lookups = LOOKUP_ROUNDS * len(probes)
-    return {
-        "protocol": LOOKUP_PROTOCOL,
-        "probes": len(probes),
-        "lookups": lookups,
-        "interpreted_seconds": interpreted_s,
-        "interpreted_lookups_per_sec": lookups / interpreted_s,
-        "compiled_seconds": compiled_s,
-        "compiled_lookups_per_sec": lookups / compiled_s,
-        "speedup": interpreted_s / compiled_s,
+        "cycles": cycles,
+        "stepped_seconds": stepped_s,
+        "stepped_cycles_per_sec": cycles / stepped_s,
+        "fast_forward_seconds": ff_s,
+        "fast_forward_cycles_per_sec": cycles / ff_s,
+        "speedup": stepped_s / ff_s,
     }
 
 
@@ -288,13 +203,13 @@ def _probe_fabric(kind: str, n: int) -> dict:
     elapsed = time.perf_counter() - t0
     txns = sum(stats.txn_counts.values())
     bus = sim.bus
+    # A broadcast reaches every other cache, always; the clustered
+    # fabric filters some of those and adds inter-cluster link hops.
+    broadcast = txns * (n - 1)
     if kind == "snoop":
-        # A broadcast reaches every other port, always.
-        msgs = txns * (len(bus._ports) - 1)
+        msgs = broadcast
     elif kind == "clustered":
-        delivered = (txns * (len(bus.buses[0]._ports) - 1)
-                     - bus.filtered_snoops)
-        msgs = delivered + bus.link_messages
+        msgs = broadcast - bus.filtered_snoops + bus.link_messages
     else:
         msgs = sum(bus.message_tallies().values())
     return {
@@ -474,26 +389,6 @@ def test_fast_forward_speedup(benchmark):
         f"fast-forward speedup {result['speedup']:.1f}x below the 5x target"
     )
     _merge_result("engine", result)
-
-
-def test_lookup_dispatch(benchmark):
-    result = benchmark.pedantic(run_lookup_microbench, rounds=1, iterations=1,
-                                warmup_rounds=0)
-    print(f"\nLookup: {result['protocol']}, {result['probes']} probes x "
-          f"{LOOKUP_ROUNDS} rounds")
-    print(render_table(
-        ["core", "seconds", "lookups/sec"],
-        [["interpreted", f"{result['interpreted_seconds']:.3f}",
-          f"{result['interpreted_lookups_per_sec']:,.0f}"],
-         ["compiled", f"{result['compiled_seconds']:.3f}",
-          f"{result['compiled_lookups_per_sec']:,.0f}"]],
-    ))
-    print(f"speedup: {result['speedup']:.1f}x")
-    assert result["speedup"] > 1.0, (
-        f"compiled lookup slower than the interpreter "
-        f"({result['speedup']:.2f}x)"
-    )
-    _merge_result("lookup", result)
 
 
 def test_parallel_sweep_scaling(benchmark):

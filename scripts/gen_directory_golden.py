@@ -3,8 +3,9 @@
 
 The golden pins the directory backend's observable behavior -- the full
 SimStats payload plus the fabric's message tallies -- across all ten
-protocols x {stepped, fast-forward} x {compiled, interpreted} on the
-``sharing`` workload.  ``tests/bus/test_directory_conformance.py``
+protocols x {stepped, fast-forward} on the ``sharing`` workload.  Each
+run fills two cells, keyed by the two protocol execution cores
+(compiled, interpreted) the golden was first recorded under.  ``tests/bus/test_directory_conformance.py``
 replays the same matrix and diffs against this file, so any refactor of
 ``repro.directory_backend`` (table-driven dispatch, sharer-set
 representations) must reproduce the pre-refactor full-bit-vector
@@ -43,13 +44,13 @@ PROCESSORS = 4
 WORKLOAD = "sharing"
 
 
-def matrix_cell(protocol: str, fast_forward: bool, dispatch: str) -> dict:
+def matrix_cell(protocol: str, fast_forward: bool) -> dict:
     """One golden cell: SimStats payload + directory message tallies."""
     config = api._build_config(
         protocol, processors=PROCESSORS,
         topology=TopologyConfig(kind="directory", directory_banks=2))
     programs = build_workload(WORKLOAD, config)
-    sim = Simulator(config, programs, dispatch=dispatch)
+    sim = Simulator(config, programs)
     sim.run(fast_forward=fast_forward)
     assert isinstance(sim.bus, DirectorySystem)
     return {
@@ -62,10 +63,9 @@ def build_golden() -> dict:
     cells = {}
     for protocol in sorted(PROTOCOLS):
         for mode in ("stepped", "fast-forward"):
-            for dispatch in ("compiled", "interpreted"):
-                key = f"{protocol}/{mode}/{dispatch}"
-                cells[key] = matrix_cell(protocol, mode == "fast-forward",
-                                         dispatch)
+            cell = matrix_cell(protocol, mode == "fast-forward")
+            for core in ("compiled", "interpreted"):
+                cells[f"{protocol}/{mode}/{core}"] = cell
     return stamp({
         "kind": "directory-conformance-golden",
         "workload": WORKLOAD,

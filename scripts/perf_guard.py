@@ -2,37 +2,30 @@
 """Guard against engine performance regressions.
 
 Reads the measurements ``pytest benchmarks/bench_engine.py`` just wrote
-to ``BENCH_engine.json`` and enforces seven machine-honest checks.
+to ``BENCH_engine.json`` and enforces five machine-honest checks.
 Absolute wall-clock varies with the host, so every guard is a *ratio*
 measured on the same host in the same run:
 
 1. **Fast-forward speedup** (``engine.speedup``, the event-skip engine
    vs the cycle-stepped reference) must stay within ``RATIO_FLOOR`` of
    the recorded baseline (``benchmarks/BENCH_engine.baseline.json``).
-2. **Compiled lookup** (``lookup.speedup``, dense-table dispatch vs the
-   interpreted IR scan over the same probes) must beat
-   ``LOOKUP_FLOOR`` outright -- both cores run back to back, so no
-   baseline is needed.
-3. **Compiled core end to end**: the compiled core's fast-forward
-   throughput must reach ``DISPATCH_FLOOR`` of the interpreted core's
-   (``engine.dispatch.*``) -- compiling must never cost wall clock.
-4. **Sweep scaling** (``sweep.scaling`` at ``sweep.jobs`` workers) must
+2. **Sweep scaling** (``sweep.scaling`` at ``sweep.jobs`` workers) must
    beat ``SCALING_FLOOR`` -- but only when ``sweep.available_cpus``
    says the machine can actually parallelize.  With fewer cpus the
    check prints an explicit ``SKIPPED (N cpus)`` line: it neither
    passes vacuously nor fails on hardware the code cannot control.
-5. **Observability overhead** (``obs.overhead_disabled``, a hooked-but-
+3. **Observability overhead** (``obs.overhead_disabled``, a hooked-but-
    tracing-disabled run vs the null observer on the same workload) must
    stay under ``OBS_OVERHEAD_CEILING`` -- instrumenting the engine,
    bus, cache, and sync layers must be free when nobody is watching.
-6. **Directory fabric throughput** (``topology.guard.ratio``): the
+4. **Directory fabric throughput** (``topology.guard.ratio``): the
    simulator driving the 256-processor directory machine must keep at
    least ``DIRECTORY_FLOOR`` of the 16-processor snoop machine's
    cycles/sec -- the point-to-point backend must not make large
    machines unaffordable to simulate.  The same section's crossover
    numbers must show the directory moving fewer messages per
    transaction than broadcast at that scale.
-7. **Limited-pointer traffic** (``topology.representations.guard``):
+5. **Limited-pointer traffic** (``topology.representations.guard``):
    at the 256-processor guard scale the Dir-N-B limited-pointer entry
    must move at most ``REPRESENTATION_CEILING`` times the full bit
    vector's messages per transaction.  The probe provisions the
@@ -69,12 +62,6 @@ from repro.common.schema import stamp  # noqa: E402
 #: Current fast-forward speedup may drop to this fraction of the
 #: baseline before the guard fails.
 RATIO_FLOOR = 0.8
-#: Compiled table lookups must beat the interpreter by at least this
-#: factor (same-run, same-host ratio).
-LOOKUP_FLOOR = 1.2
-#: The compiled core's fast-forward throughput must reach this fraction
-#: of the interpreted core's.
-DISPATCH_FLOOR = 0.9
 #: Required sweep scaling at 4 jobs -- enforced only at >= 4 cpus.
 SCALING_FLOOR = 1.5
 #: Weaker scaling bar applied between 2 and 3 cpus.
@@ -125,31 +112,6 @@ def _check_engine_baseline(engine: dict, update: bool) -> int:
     ok = current >= floor
     print(f"perf_guard: fast-forward speedup {current:.1f}x vs baseline "
           f"{baseline:.1f}x (floor {floor:.1f}x) -- "
-          f"{'OK' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-def _check_lookup(data: dict) -> int:
-    lookup = data.get("lookup", {})
-    speedup = lookup.get("speedup")
-    if speedup is None:
-        return _fail_missing("lookup.speedup entry")
-    ok = speedup >= LOOKUP_FLOOR
-    print(f"perf_guard: compiled lookup {speedup:.1f}x vs interpreter "
-          f"(floor {LOOKUP_FLOOR:.1f}x) -- {'OK' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-def _check_dispatch(engine: dict) -> int:
-    cores = engine.get("dispatch", {})
-    compiled = cores.get("compiled", {}).get("fast_forward_cycles_per_sec")
-    interpreted = cores.get("interpreted", {}).get(
-        "fast_forward_cycles_per_sec")
-    if compiled is None or interpreted is None:
-        return _fail_missing("engine.dispatch per-core timings")
-    ok = compiled >= DISPATCH_FLOOR * interpreted
-    print(f"perf_guard: compiled ff {compiled:,.0f} cyc/s vs interpreted "
-          f"{interpreted:,.0f} cyc/s (floor {DISPATCH_FLOOR:.0%}) -- "
           f"{'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -261,8 +223,6 @@ def main(argv: list[str] | None = None) -> int:
     engine = result_data.get("engine", {})
     codes = [
         _check_engine_baseline(engine, args.update),
-        _check_lookup(result_data),
-        _check_dispatch(engine),
         _check_scaling(result_data),
         _check_obs_overhead(result_data),
         _check_topology(result_data),

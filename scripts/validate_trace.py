@@ -38,13 +38,12 @@ Eight artifact shapes are understood:
   schedule, and a named failure.
 * Engine benchmark results (``BENCH_engine.json``, schema v4, detected
   by an ``engine`` section) are checked for the keys
-  ``scripts/perf_guard.py`` guards: per-core ``engine.dispatch``
-  timings for both dispatch cores, the ``lookup`` microbenchmark
-  ratio, an honest integer ``sweep.available_cpus``, the ``obs``
-  hook-overhead timings, (schema v5) the ``topology`` section with
-  the snoop-vs-directory traffic crossover and throughput guard, and
-  (schema v7) the nested ``topology.representations`` section with
-  per-representation msgs/txn + bits/block points and the
+  ``scripts/perf_guard.py`` guards: the ``engine`` stepped and
+  fast-forward timings, an honest integer ``sweep.available_cpus``,
+  the ``obs`` hook-overhead timings, (schema v5) the ``topology``
+  section with the snoop-vs-directory traffic crossover and throughput
+  guard, and (schema v7) the nested ``topology.representations``
+  section with per-representation msgs/txn + bits/block points and the
   limited-pointer traffic guard.
 
 Usage::
@@ -246,8 +245,8 @@ def validate_attribution_report(payload: dict) -> list[str]:
     return errors
 
 
-#: Timing keys every ``engine.dispatch`` core entry must carry.
-_CORE_TIMING_KEYS = (
+#: Timing keys the ``engine`` section must carry.
+_ENGINE_TIMING_KEYS = (
     "cycles", "stepped_seconds", "stepped_cycles_per_sec",
     "fast_forward_seconds", "fast_forward_cycles_per_sec", "speedup",
 )
@@ -261,33 +260,10 @@ def validate_bench_engine(payload: dict) -> list[str]:
     if not isinstance(engine, dict):
         errors.append("missing engine section")
     else:
-        cores = engine.get("dispatch")
-        if not isinstance(cores, dict):
-            errors.append("engine.dispatch: missing per-core timings")
-        else:
-            for core in ("compiled", "interpreted"):
-                entry = cores.get(core)
-                if not isinstance(entry, dict):
-                    errors.append(f"engine.dispatch.{core}: missing")
-                    continue
-                for key in _CORE_TIMING_KEYS:
-                    value = entry.get(key)
-                    if not isinstance(value, (int, float)) or value <= 0:
-                        errors.append(f"engine.dispatch.{core}.{key}: "
-                                      f"bad value {value!r}")
-        for key in ("speedup", "fast_forward_cycles_per_sec"):
-            if not isinstance(engine.get(key), (int, float)):
-                errors.append(f"engine.{key}: bad value {engine.get(key)!r}")
-
-    lookup = payload.get("lookup")
-    if not isinstance(lookup, dict):
-        errors.append("missing lookup section")
-    else:
-        for key in ("speedup", "probes", "lookups",
-                    "interpreted_seconds", "compiled_seconds"):
-            value = lookup.get(key)
+        for key in _ENGINE_TIMING_KEYS:
+            value = engine.get(key)
             if not isinstance(value, (int, float)) or value <= 0:
-                errors.append(f"lookup.{key}: bad value {value!r}")
+                errors.append(f"engine.{key}: bad value {value!r}")
 
     sweep = payload.get("sweep")
     if not isinstance(sweep, dict):
@@ -495,9 +471,7 @@ def _describe(payload: dict) -> str:
                 f"{payload.get('contended_block')}")
     if "engine" in payload and "kind" not in payload:
         engine = payload.get("engine", {})
-        lookup = payload.get("lookup", {})
-        return (f"engine bench, ff {engine.get('speedup', 0):.1f}x, "
-                f"lookup {lookup.get('speedup', 0):.1f}x")
+        return f"engine bench, ff {engine.get('speedup', 0):.1f}x"
     statuses = [p.get("status") for p in payload.get("point_status", [])]
     ok = sum(1 for s in statuses if s == "ok")
     return f"sweep result, {ok}/{len(statuses)} points ok"

@@ -1,5 +1,5 @@
 """Interconnect-fabric registry (the topology analogue of the protocol
-dispatch registry).
+registry).
 
 Each :data:`~repro.common.config.TOPOLOGY_KINDS` entry maps to a builder
 that assembles the corresponding fabric from a
@@ -14,8 +14,8 @@ that assembles the corresponding fabric from a
 * ``clustered`` -- :class:`~repro.bus.hierarchy.ClusteredBusSystem`.
 * ``directory`` -- :class:`~repro.directory_backend.DirectorySystem`.
 
-``REPRO_TOPOLOGY`` overrides the session default the same way
-``REPRO_DISPATCH`` overrides the dispatch core.
+``REPRO_TOPOLOGY`` overrides the session default; an unknown kind there
+is a :class:`~repro.common.errors.ConfigError`, not a silent fallback.
 """
 
 from __future__ import annotations
@@ -43,9 +43,15 @@ TOPOLOGY_ENV = "REPRO_TOPOLOGY"
 
 def default_topology() -> str:
     """The session-default fabric kind (``REPRO_TOPOLOGY`` or
-    ``snoop``)."""
+    ``snoop``); raises :class:`ConfigError` on an unknown kind."""
     kind = os.environ.get(TOPOLOGY_ENV, "").strip().lower()
-    return kind if kind in FABRIC_KINDS else "snoop"
+    if not kind:
+        return "snoop"
+    if kind not in FABRIC_KINDS:
+        raise ConfigError(
+            f"{TOPOLOGY_ENV}={kind!r} is not a fabric kind; valid kinds: "
+            f"{', '.join(FABRIC_KINDS)}")
+    return kind
 
 
 def _build_snoop(topology: TopologyConfig, memory, timing, clock, stats,

@@ -31,17 +31,19 @@ from repro.analysis import (
     render_table2,
     traffic_metrics,
 )
-from repro.bus.fabric import FABRIC_KINDS, TOPOLOGY_ENV
-from repro.protocols import DISPATCH_ENV, DISPATCH_MODES, PROTOCOLS
+from repro.bus.fabric import FABRIC_KINDS, TOPOLOGY_ENV, default_topology
+from repro.common.errors import ConfigError
+from repro.protocols import PROTOCOLS
 from repro.workloads.registry import (WORKLOADS, canonical_workload_name,
                                       default_lock_style,
                                       default_words_per_block)
 
-#: Flags removed after their PR-3 deprecation window: old spelling ->
-#: the replacement named in the exit-2 error.
+#: Removed flags: old spelling -> what to do instead, named in the
+#: exit-2 error.
 REMOVED_FLAGS = {
-    "--verify-every": "--check-interval",
-    "--cache-blocks": "--num-blocks",
+    "--verify-every": "use --check-interval",
+    "--cache-blocks": "use --num-blocks",
+    "--dispatch": "there is now a single protocol core",
 }
 
 
@@ -53,9 +55,8 @@ class _RemovedFlag(argparse.Action):
     ``unrecognized arguments`` -- but any use is an error."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        replacement = REMOVED_FLAGS[option_string]
         print(f"repro: error: {option_string} was removed; "
-              f"use {replacement}", file=sys.stderr)
+              f"{REMOVED_FLAGS[option_string]}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -92,12 +93,19 @@ def _add_fabric_flags(parser: argparse.ArgumentParser) -> None:
 def _reject_fabric_conflicts(args: argparse.Namespace) -> None:
     """``--clusters`` still names the clustered fabric's clusters (and,
     for compatibility, directory banks), but giving it alongside the
-    explicit ``--directory-banks`` is ambiguous: exit 2 naming both."""
+    explicit ``--directory-banks`` is ambiguous: exit 2 naming both.
+    Without ``--topology``, a bad ``REPRO_TOPOLOGY`` also exits 2."""
     if args.clusters is not None and args.directory_banks is not None:
         print("repro: error: --clusters and --directory-banks cannot be "
               "combined; use --directory-banks for the directory fabric "
               "and --clusters for the clustered fabric", file=sys.stderr)
         raise SystemExit(2)
+    if args.topology is None:
+        try:
+            default_topology()
+        except ConfigError as exc:
+            print(f"repro: error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
 
 
 def _workload_name(value: str) -> str:
@@ -161,9 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the generated workload to a trace file")
     run.add_argument("--json", action="store_true",
                      help="emit the full statistics as JSON")
-    run.add_argument("--dispatch", choices=DISPATCH_MODES, default=None,
-                     help="protocol execution core (default: compiled, or "
-                          f"the {DISPATCH_ENV} environment variable)")
+    run.add_argument("--dispatch", action=_RemovedFlag, nargs=1,
+                     help=argparse.SUPPRESS)
     run.add_argument("--fast-forward", action="store_true",
                      help="event-skip execution (identical statistics, "
                           "much faster on workloads with quiet spans)")
@@ -212,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--clusters", type=int, default=None, metavar="K",
                        help="clusters of the clustered fabric")
     _add_fabric_flags(sweep)
-    sweep.add_argument("--dispatch", choices=DISPATCH_MODES, default=None,
-                       help="protocol execution core (default: compiled, or "
-                            f"the {DISPATCH_ENV} environment variable)")
+    sweep.add_argument("--dispatch", action=_RemovedFlag, nargs=1,
+                       help=argparse.SUPPRESS)
     sweep.add_argument("--fast-forward", action="store_true",
                        help="event-skip execution for every sweep point")
     sweep.add_argument("-j", "--jobs", type=int, default=1,
@@ -453,7 +459,6 @@ def command_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             check_interval=args.check_interval,
             fast_forward=args.fast_forward,
-            dispatch=args.dispatch,
             sample_interval=args.sample_interval if observe else 0,
             tracing=tracing,
             max_wall_seconds=args.max_wall_seconds,
@@ -586,7 +591,6 @@ def command_sweep(args: argparse.Namespace) -> int:
             args.workload,
             processors=args.processors,
             fast_forward=args.fast_forward,
-            dispatch=args.dispatch,
             topology=args.topology,
             clusters=args.clusters,
             directory_banks=args.directory_banks,

@@ -85,6 +85,12 @@ Version history
    ``perf_guard``'s limited-pointer traffic ceiling).  Migration: v6
    readers that ignore unknown keys keep working; none of the
    pre-existing keys changed meaning.
+8. One protocol execution core: the compiled dispatch core is gone, so
+   ``run-result`` and ``sweep-result`` payloads drop the top-level
+   ``dispatch`` key, and ``BENCH_engine.json`` drops ``engine.dispatch``
+   and the ``lookup`` microbenchmark section.  Migration: readers that
+   ignore unknown keys still read v7 payloads; readers of ``dispatch``
+   must stop expecting it.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ from __future__ import annotations
 from repro.common.errors import ReproError
 
 #: Current version of all exported JSON payload shapes.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Key under which the version is stamped.
 SCHEMA_KEY = "schema_version"

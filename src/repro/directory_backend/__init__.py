@@ -4,12 +4,12 @@ Replaces broadcast snooping with per-block directory state held at home
 banks: every transaction serializes at its block's home bank, which
 forwards it point-to-point only to the caches the directory lists as
 holding (or waiting on) the block, instead of broadcasting to all N.
-The protocols themselves -- their transition tables, the linter, the
-model checker, and compiled dispatch -- apply unchanged: the directory
-is purely a delivery fabric that prunes snoops the filtered caches would
-have answered with a miss anyway.  The home-bank policy itself is
-TransitionTable IR (:mod:`repro.directory_backend.table`), and the
-per-block sharer tracking is one of three pluggable representations
+The protocols themselves -- their transition tables, the linter, and
+the model checker -- apply unchanged: the directory is purely a delivery
+fabric that prunes snoops the filtered caches would have answered with a
+miss anyway.  The home-bank policy itself is TransitionTable IR
+(:mod:`repro.directory_backend.table`), and the per-block sharer
+tracking is one of three pluggable representations
 (:mod:`repro.directory_backend.representations`).
 """
 

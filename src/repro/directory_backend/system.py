@@ -5,11 +5,11 @@ Blocks interleave across ``directory_banks`` home banks exactly as they
 interleave across buses in the multi-bus system, so every transaction on
 a block serializes at its home bank -- the same single-writer argument,
 with the bank in the bus's role.  Instead of broadcasting, the bank
-dispatches the request through the home-bank
-:class:`~repro.directory_backend.table.DirectoryTable` (compiled to
-dense dispatch like any protocol table) and executes the matched row's
-actions: probe-set selection, membership refresh, message tallies, and
-hop/lookup timing.
+looks the request up in the home-bank
+:class:`~repro.directory_backend.table.DirectoryTable` (through the
+same ``TransitionTable.lookup`` every protocol uses) and executes the
+matched row's actions: probe-set selection, membership refresh, message
+tallies, and hop/lookup timing.
 
 **Why pruning is sound.**  A cache reacts to a snoop only when
 :meth:`~repro.cache.cache.Cache.cares_about` holds -- the block is
@@ -48,10 +48,9 @@ from repro.directory_backend.table import (
     DIR_EVENT_OF,
     HOME_BANK_TABLE,
     DirectoryTable,
-    guard_bits_of,
+    guard_context_of,
     home_state_of,
 )
-from repro.protocols.compiled import compile_table
 from repro.protocols.table import Rule
 
 if TYPE_CHECKING:
@@ -83,9 +82,6 @@ class DirectoryFabric(Bus):
         self.directory = DirectoryState(
             index, representation_factory(system.topology))
         self._last_probed: set[CacheId] = set()
-        # Resolved per instance so a class-level ``table`` patch (the mc
-        # mutation harness) is honoured by instances created under it.
-        self._dispatch = compile_table(self.table)
         self._active_row: Rule | None = None
 
     # -- delivery -----------------------------------------------------------
@@ -104,9 +100,9 @@ class DirectoryFabric(Bus):
         # read-source arbitration deterministic and bus-identical.
         ports = self._ports
         peers = any(cid != rid and sharers.listed(cid) for cid in ports)
-        row = self._dispatch.lookup_bits(
+        row = self.table.lookup(
             home_state_of(entry), DIR_EVENT_OF[txn.op],
-            guard_bits_of(entry, rid, peers))
+            guard_context_of(entry, rid, peers))
         self._active_row = row
         replies: dict[CacheId, SnoopReply] = {}
         for action in row.actions:

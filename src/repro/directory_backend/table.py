@@ -4,8 +4,8 @@ PR 8 gave the directory fabric a fixed, procedural probe policy; this
 module lifts it into the same :class:`~repro.protocols.table.Rule`
 vocabulary the cache-side protocols use, so the home bank is lintable
 (``repro lint``), mutable (the mc harness edits rows, not code), and
-compilable (the :class:`~repro.protocols.compiled.CompiledTable` dense
-dispatch, via a directory :class:`DispatchVocabulary`).
+executed by the same :meth:`~repro.protocols.table.TransitionTable.lookup`
+as every protocol table.
 
 **States** are the classic directory-entry occupancies: ``UNCACHED``
 (no sharer listed), ``SHARED`` (clean sharers listed), ``OWNED`` (a
@@ -59,7 +59,6 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.bus.transaction import BusOp
-from repro.protocols.compiled import DispatchVocabulary
 from repro.protocols.table import Rule, TransitionTable, rule
 
 if TYPE_CHECKING:
@@ -111,10 +110,6 @@ DIR_GUARD_FAMILIES: dict[str, tuple[str, str]] = {
     "dir-entry": ("dir-overflowed", "dir-precise"),
 }
 
-#: Guard-bit order: every directory event consults all three families.
-DIR_BIT_FAMILIES: tuple[str, ...] = ("dir-occupancy", "dir-owner",
-                                     "dir-entry")
-
 #: Delivery-phase actions that select the probe set.
 PROBE_ACTIONS = frozenset({"probe-listed", "probe-all"})
 
@@ -128,24 +123,16 @@ ACCOUNTING_ACTIONS = ("count-response", "tally-traffic", "pay-lookup",
 DIR_ACTIONS = DELIVERY_ACTIONS + MEMBERSHIP_ACTIONS + ACCOUNTING_ACTIONS
 
 
-#: The dense index spaces the compiler lowers directory tables against.
-DIRECTORY_VOCABULARY = DispatchVocabulary(
-    tuple(HomeState), tuple(DirEvent), DIR_GUARD_FAMILIES,
-    lambda event: DIR_BIT_FAMILIES)
-
-
 class DirectoryTable(TransitionTable):
     """A home-bank transition table.
 
     Same rule vocabulary, index, ``lookup``, and ``without``/``rewrite``
-    mutation helpers as the cache-side tables; only the vocabulary (and
-    therefore the compiled dense shapes) differs.
+    mutation helpers as the cache-side tables; only the states, events
+    and guard families differ.
     """
 
     #: Dispatched on by ``repro.lint.rules.lint_table``.
     table_kind = "directory"
-    #: Picked up by ``repro.protocols.compiled.compile_table``.
-    vocabulary = DIRECTORY_VOCABULARY
 
     def reachable_states(self) -> frozenset:
         """All four home states.  Next-state edges alone cannot reach
@@ -207,17 +194,16 @@ def home_state_of(entry: "DirectoryEntry") -> HomeState:
     return HomeState.UNCACHED
 
 
-def guard_bits_of(entry: "DirectoryEntry", requester: "CacheId",
-                  peers: bool) -> int:
-    """Encode the request's guard context as compiled dispatch bits
-    (bit order per :data:`DIR_BIT_FAMILIES`).  ``peers`` is whether any
-    other cache is listed -- the caller computes it from the ports it
-    is about to scan anyway."""
-    bits = 0
-    if peers:
-        bits |= 1
-    if entry.owner == requester:
-        bits |= 2
-    if entry.sharers.overflowed:
-        bits |= 4
-    return bits
+def guard_context_of(entry: "DirectoryEntry", requester: "CacheId",
+                     peers: bool) -> frozenset[str]:
+    """The request's guard context: one atom of each
+    :data:`DIR_GUARD_FAMILIES` family, the first when its condition
+    holds.  ``peers`` is whether any other cache is listed -- the caller
+    computes it from the ports it is about to scan anyway."""
+    holds = {
+        "dir-occupancy": peers,
+        "dir-owner": entry.owner == requester,
+        "dir-entry": entry.sharers.overflowed,
+    }
+    return frozenset(DIR_GUARD_FAMILIES[family][0 if held else 1]
+                     for family, held in holds.items())

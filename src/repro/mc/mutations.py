@@ -76,9 +76,9 @@ def _table_patch(cls, builder: Callable[[], TransitionTable]):
 
 
 def _directory_table_patch(builder: Callable[[], TransitionTable]):
-    """Patch the home-bank policy on the directory fabric class (the
-    fabric resolves its compiled dispatch per instance, so instances
-    created under the patch honour it)."""
+    """Patch the home-bank policy on the directory fabric class (every
+    fabric instance looks rows up through ``self.table``, so the patch
+    takes effect at once)."""
     def apply():
         from repro.directory_backend.system import DirectoryFabric
 

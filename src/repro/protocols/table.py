@@ -487,26 +487,6 @@ class TableProtocol(CoherenceProtocol):
             "won-wait" if txn.high_priority else "not-won-wait",
         })
 
-    # -- lookup seams ----------------------------------------------------
-    # The three call shapes through which every table probe flows.  The
-    # interpreter builds a frozenset context and scans; the compiled
-    # dispatch layer (repro.protocols.compiled) overrides exactly these
-    # with guard-bit probes into precomputed dense arrays.
-
-    def _lookup_processor(self, state: CacheState, event: Event,
-                          addr: WordAddr, private_hint: bool) -> Rule:
-        return self.table.lookup(state, event,
-                                 self._processor_ctx(addr, private_hint))
-
-    def _lookup_completion(self, state: CacheState, event: Event,
-                           pending: "PendingAccess", txn: BusTransaction,
-                           response) -> Rule:
-        return self.table.lookup(
-            state, event, self._completion_ctx(pending, txn, response))
-
-    def _lookup_snoop(self, state: CacheState, event: Event) -> Rule:
-        return self.table.lookup(state, event, frozenset())
-
     # -- processor side --------------------------------------------------
 
     def processor_read(self, line: "CacheLine | None", addr: WordAddr,
@@ -538,7 +518,8 @@ class TableProtocol(CoherenceProtocol):
                           addr: WordAddr, stamp: Stamp | None,
                           private_hint: bool = False) -> Action:
         state = line.state if line is not None else CacheState.INVALID
-        row = self._lookup_processor(state, event, addr, private_hint)
+        row = self.table.lookup(state, event,
+                               self._processor_ctx(addr, private_hint))
         request: NeedBus | None = None
         for action in row.actions:
             kind = action_kind(action)
@@ -637,8 +618,8 @@ class TableProtocol(CoherenceProtocol):
                 and table.has_event(Event.DONE_WRITE_NO_FETCH)):
             line = self.cache.line_for(txn.block)
             state = line.state if line is not None else CacheState.INVALID
-            row = self._lookup_completion(state, Event.DONE_WRITE_NO_FETCH,
-                                          pending, txn, response)
+            row = table.lookup(state, Event.DONE_WRITE_NO_FETCH,
+                               self._completion_ctx(pending, txn, response))
             blank = [0] * self.cache.config.words_per_block
             self.cache.install_block(txn.block, row.next_state, blank)
             return TxnResult(Outcome.DONE)
@@ -646,16 +627,16 @@ class TableProtocol(CoherenceProtocol):
         if op is BusOp.UPGRADE and table.has_event(Event.DONE_UPGRADE):
             line = self.cache.line_for(txn.block)
             if line is None:
-                row = self._lookup_completion(
+                row = table.lookup(
                     CacheState.INVALID, Event.DONE_UPGRADE,
-                    pending, txn, response)
+                    self._completion_ctx(pending, txn, response))
                 rebus = self._rebus_request(row, pending, txn)
                 assert rebus is not None
                 return TxnResult(Outcome.REBUS, rebus)
             if table.has_lock_states and response.locked:
                 return TxnResult(Outcome.WAIT_LOCK)
-            row = self._lookup_completion(line.state, Event.DONE_UPGRADE,
-                                          pending, txn, response)
+            row = table.lookup(line.state, Event.DONE_UPGRADE,
+                               self._completion_ctx(pending, txn, response))
             self._run_completion_actions(row, line, txn)
             line.state = row.next_state
             return TxnResult(Outcome.DONE)
@@ -663,8 +644,8 @@ class TableProtocol(CoherenceProtocol):
         if op.fetches_block and op in FILL_EVENT:
             if response.locked or response.memory_locked:
                 return TxnResult(Outcome.WAIT_LOCK)
-            row = self._lookup_completion(CacheState.INVALID, FILL_EVENT[op],
-                                          pending, txn, response)
+            row = table.lookup(CacheState.INVALID, FILL_EVENT[op],
+                               self._completion_ctx(pending, txn, response))
             assert data is not None
             line = self.cache.install_block(txn.block, row.next_state, data)
             rebus = self._rebus_request(row, pending, txn)
@@ -680,8 +661,8 @@ class TableProtocol(CoherenceProtocol):
                 return super().after_txn(pending, txn, response, data)
             line = self.cache.line_for(txn.block)
             state = line.state if line is not None else CacheState.INVALID
-            row = self._lookup_completion(state, event,
-                                          pending, txn, response)
+            row = table.lookup(state, event,
+                               self._completion_ctx(pending, txn, response))
             rebus = self._rebus_request(row, pending, txn)
             if rebus is not None:
                 return TxnResult(Outcome.REBUS, rebus)
@@ -774,7 +755,7 @@ class TableProtocol(CoherenceProtocol):
 
     def _snoop_table(self, event: Event, line: "CacheLine",
                      txn: BusTransaction) -> SnoopReply:
-        row = self._lookup_snoop(line.state, event)
+        row = self.table.lookup(line.state, event, frozenset())
         reply = SnoopReply(hit=True)
         for action in row.actions:
             self._run_snoop_action(action, reply, line, txn)

@@ -74,7 +74,6 @@ class Simulator:
         fast_forward: bool | None = None,
         obs: Observability | None = None,
         scheduler: "Scheduler | None" = None,
-        dispatch: str | None = None,
     ) -> None:
         if len(programs) != config.num_processors:
             raise ConfigError(
@@ -111,11 +110,7 @@ class Simulator:
         self.bus.scheduler = scheduler
         self.oracle = WriteOracle(self.stats, strict=config.strict_verify)
 
-        protocol_cls = get_protocol(config.protocol, dispatch)
-        #: The dispatch core actually driving the caches ("compiled" or
-        #: "interpreted"), resolved from the argument / env default and
-        #: what the protocol supports -- stamped into result artifacts.
-        self.dispatch: str = protocol_cls.dispatch
+        protocol_cls = get_protocol(config.protocol)
         effective_rmw = config.rmw_method
         if (
             config.rmw_method is RmwMethod.LOCK_STATE
@@ -538,7 +533,6 @@ def run_workload(
     fast_forward: bool | None = None,
     obs: Observability | None = None,
     max_wall_seconds: float | None = None,
-    dispatch: str | None = None,
 ) -> SimStats:
     """Build a simulator, run it to completion, and return its stats.
 
@@ -546,5 +540,5 @@ def run_workload(
     :meth:`Simulator.run`)."""
     sim = Simulator(config, programs, trace=trace,
                     check_interval=check_interval, fast_forward=fast_forward,
-                    obs=obs, dispatch=dispatch)
+                    obs=obs)
     return sim.run(max_cycles=max_cycles, max_wall_seconds=max_wall_seconds)

@@ -125,7 +125,10 @@ class TestFabricRegistry:
         monkeypatch.setenv(TOPOLOGY_ENV, "directory")
         assert default_topology() == "directory"
         monkeypatch.setenv(TOPOLOGY_ENV, "bogus")
-        assert default_topology() == "snoop"
+        with pytest.raises(ConfigError, match=r"REPRO_TOPOLOGY='bogus'.*"
+                                              r"snoop, multibus, clustered, "
+                                              r"directory"):
+            default_topology()
 
     def test_env_override_reaches_the_engine(self, monkeypatch):
         from repro.bus.fabric import TOPOLOGY_ENV

@@ -1,6 +1,5 @@
 """Cycle attribution: the exhaustive eight-bucket partition, its
-engine/dispatch bit-identity, the critical path, and the protocol
-comparison."""
+engine bit-identity, the critical path, and the protocol comparison."""
 
 from __future__ import annotations
 
@@ -33,8 +32,7 @@ MATRIX = [
 
 
 def _attributed(protocol: str, style: LockStyle, *,
-                fast_forward: bool = False,
-                dispatch: str | None = None, n: int = 4):
+                fast_forward: bool = False, n: int = 4):
     config = SystemConfig(
         num_processors=n,
         protocol=protocol,
@@ -44,8 +42,7 @@ def _attributed(protocol: str, style: LockStyle, *,
     programs = lock_contention(config, lock_style=style,
                                rounds=5, think_cycles=9)
     obs = Observability(interval=50, tracing=True)
-    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward,
-                    dispatch=dispatch)
+    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward)
     stats = sim.run()
     return obs, stats
 
@@ -99,22 +96,15 @@ class TestExhaustivePartition:
 class TestBitIdentity:
     @pytest.mark.parametrize("protocol,style", MATRIX,
                              ids=[protocol for protocol, _ in MATRIX])
-    def test_identical_across_engines_and_dispatch_cores(
-            self, protocol, style):
-        reference = None
-        for fast_forward in (False, True):
-            for dispatch in ("compiled", "interpreted"):
-                obs, stats = _attributed(protocol, style,
-                                         fast_forward=fast_forward,
-                                         dispatch=dispatch)
-                payload = compute_attribution(
-                    obs.tracer, stats, protocol=protocol).to_dict()
-                if reference is None:
-                    reference = payload
-                else:
-                    assert payload == reference, (
-                        f"{protocol}: attribution diverges under "
-                        f"fast_forward={fast_forward}, {dispatch}")
+    def test_identical_across_engines(self, protocol, style):
+        def attribution(fast_forward: bool) -> dict:
+            obs, stats = _attributed(protocol, style,
+                                     fast_forward=fast_forward)
+            return compute_attribution(obs.tracer, stats,
+                                       protocol=protocol).to_dict()
+
+        assert attribution(True) == attribution(False), (
+            f"{protocol}: attribution diverges under fast-forward")
 
 
 class TestCausalStory:

@@ -1,8 +1,7 @@
 """Exporter byte-identity: every serialized observability artifact --
 metrics JSONL/CSV, the Perfetto trace, the span trace, and the folded
 flamegraph stacks -- must be byte-for-byte identical across the
-stepped/fast-forward engines and both dispatch cores on a fixed
-scenario."""
+stepped/fast-forward engines on a fixed scenario."""
 
 from __future__ import annotations
 
@@ -25,13 +24,12 @@ from repro.processor.program import LockStyle
 from repro.sim.engine import Simulator
 from repro.workloads import lock_contention
 
-#: The four engine x dispatch combinations.
-COMBOS = [(ff, dispatch)
-          for ff in (False, True)
-          for dispatch in ("compiled", "interpreted")]
+#: The engine combinations, as ``fast_forward`` flags: stepped, then
+#: fast-forward.
+COMBOS = [False, True]
 
 
-def _artifacts(fast_forward: bool, dispatch: str) -> dict[str, str]:
+def _artifacts(fast_forward: bool) -> dict[str, str]:
     config = SystemConfig(
         num_processors=4,
         protocol="bitar-despain",
@@ -41,8 +39,7 @@ def _artifacts(fast_forward: bool, dispatch: str) -> dict[str, str]:
     programs = lock_contention(config, lock_style=LockStyle.CACHE_LOCK,
                                rounds=5, think_cycles=9)
     obs = Observability(interval=50, tracing=True)
-    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward,
-                    dispatch=dispatch)
+    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward)
     stats = sim.run()
     result = obs.result()
     report = compute_attribution(obs.tracer, stats)
@@ -59,7 +56,7 @@ def _artifacts(fast_forward: bool, dispatch: str) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def matrix():
-    return {combo: _artifacts(*combo) for combo in COMBOS}
+    return {combo: _artifacts(combo) for combo in COMBOS}
 
 
 @pytest.mark.parametrize("artifact",
@@ -69,8 +66,7 @@ def test_artifact_byte_identical_across_all_combos(matrix, artifact):
     assert reference, f"{artifact} export is empty"
     for combo in COMBOS[1:]:
         assert matrix[combo][artifact] == reference, (
-            f"{artifact} diverges for fast_forward={combo[0]}, "
-            f"dispatch={combo[1]}")
+            f"{artifact} diverges for fast_forward={combo}")
 
 
 def test_perfetto_carries_span_slices_and_flow_events(matrix):

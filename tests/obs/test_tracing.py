@@ -1,5 +1,5 @@
 """The causal span tracer: span DAG shape, lock handoff chains, and
-engine/dispatch independence of the trace itself."""
+engine independence of the trace itself."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.workloads import lock_contention
 
 
 def _traced_run(protocol: str = "bitar-despain", *, n: int = 4,
-                fast_forward: bool = False, dispatch: str | None = None,
+                fast_forward: bool = False,
                 style: LockStyle | None = None):
     config = SystemConfig(
         num_processors=n,
@@ -27,8 +27,7 @@ def _traced_run(protocol: str = "bitar-despain", *, n: int = 4,
     programs = lock_contention(config, lock_style=style,
                                rounds=5, think_cycles=9)
     obs = Observability(interval=50, tracing=True)
-    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward,
-                    dispatch=dispatch)
+    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward)
     stats = sim.run()
     return obs, stats
 
@@ -107,18 +106,11 @@ class TestEngineIndependence:
         ("bitar-despain", LockStyle.CACHE_LOCK),
         ("illinois", LockStyle.TTAS),
     ])
-    def test_spans_identical_across_engines_and_dispatch(
-            self, protocol, style):
-        reference = None
-        for fast_forward in (False, True):
-            for dispatch in ("compiled", "interpreted"):
-                obs, _stats = _traced_run(protocol, style=style,
-                                          fast_forward=fast_forward,
-                                          dispatch=dispatch)
-                spans = obs.result().spans
-                if reference is None:
-                    reference = spans
-                else:
-                    assert spans == reference, (
-                        f"{protocol}: spans diverge under "
-                        f"fast_forward={fast_forward}, {dispatch}")
+    def test_spans_identical_across_engines(self, protocol, style):
+        def spans(fast_forward: bool) -> list:
+            obs, _stats = _traced_run(protocol, style=style,
+                                      fast_forward=fast_forward)
+            return obs.result().spans
+
+        assert spans(True) == spans(False), (
+            f"{protocol}: spans diverge under fast-forward")

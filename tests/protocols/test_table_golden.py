@@ -5,7 +5,10 @@
 (stepped, fast-forward) run, generated from the imperative pre-table
 implementations (``scripts/gen_protocol_golden.py``).  The table port
 must reproduce every payload bit-for-bit: any diff is a behavioral
-change, not a refactor.
+change, not a refactor.  Only the ``schema_version`` stamp is set aside:
+it versions the artifact format, which moves independently of the
+simulated behavior, so the golden keeps the stamp it was recorded
+under (one the reader still accepts).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import pytest
 
 from repro import api
 from repro.common.errors import ProgramError
+from repro.common.schema import SCHEMA_KEY, check
 from repro.protocols import PROTOCOLS
 from repro.workloads.registry import WORKLOADS
 
@@ -57,6 +61,11 @@ def test_stats_bit_identical(protocol, workload, fast_forward):
     result = api.simulate(protocol, workload,
                           processors=GOLDEN["processors"],
                           fast_forward=fast_forward)
-    assert json.loads(result.stats.to_json()) == GOLDEN["cases"][key], (
+    want = dict(GOLDEN["cases"][key])
+    check(want, where=key)
+    del want[SCHEMA_KEY]
+    got = json.loads(result.stats.to_json())
+    del got[SCHEMA_KEY]
+    assert got == want, (
         f"{key}: table-driven stats diverge from the imperative golden"
     )

@@ -117,8 +117,8 @@ class TestCommands:
 
 
 class TestRemovedFlags:
-    # The PR-3 aliases finished their deprecation window: each now exits
-    # with code 2 and an error naming the replacement flag.
+    # Removed flags exit with code 2 and a one-line error naming the
+    # replacement (or, for --dispatch, why there is none).
     def test_verify_every_is_removed(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "-n", "2", "--verify-every", "16"])
@@ -134,6 +134,16 @@ class TestRemovedFlags:
         err = capsys.readouterr().err
         assert "--cache-blocks was removed" in err
         assert "--num-blocks" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_dispatch_is_removed(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--dispatch", "compiled"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--dispatch was removed" in err
+        assert "single protocol core" in err
+        assert len(err.splitlines()) == 1
 
     def test_new_spellings_work(self, capsys):
         assert main(["run", "-n", "2", "--check-interval", "16",
@@ -168,7 +178,20 @@ class TestTopologyFlags:
         monkeypatch.setenv(TOPOLOGY_ENV, "clustered")
         assert default_topology() == "clustered"
         monkeypatch.setenv(TOPOLOGY_ENV, "not-a-fabric")
-        assert default_topology() == "snoop"
+        for command in (["run", "-n", "2"], ["sweep", "--processors", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert TOPOLOGY_ENV in err and "not-a-fabric" in err
+            assert "directory" in err
+            assert "Traceback" not in err
+
+    def test_explicit_topology_ignores_env(self, monkeypatch, capsys):
+        from repro.bus.fabric import TOPOLOGY_ENV
+
+        monkeypatch.setenv(TOPOLOGY_ENV, "not-a-fabric")
+        assert main(["run", "-n", "2", "--topology", "snoop"]) == 0
 
 
 class TestFabricFlags:
