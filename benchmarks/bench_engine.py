@@ -1,8 +1,9 @@
-"""Engine benchmark: stepped vs fast-forward execution, sweep scaling.
+"""Engine benchmark: stepped reference vs event-skip engine, sweep scaling.
 
 Unlike the figure benches, this one measures the *simulator*, not the
-simulated system: wall-clock for the cycle-stepped reference engine vs
-the event-skip engine on the same coarse-grain locking workload (short
+simulated system: wall-clock for the cycle-stepped reference loop
+(``Simulator.run_stepped``) vs the event-skip engine
+(``Simulator.run``) on the same coarse-grain locking workload (short
 critical sections separated by long parallel compute, the regime the
 paper's Section F cost model assumes), plus process-parallel sweep
 scaling.  Both engines must produce identical statistics; the timings
@@ -74,14 +75,15 @@ def _snapshot(stats, n: int) -> dict:
     return d
 
 
-def _time_run(config, programs, fast_forward: bool, repeats: int = 3):
+def _time_run(config, programs, stepped: bool, repeats: int = 3):
     """Best-of-``repeats`` wall clock and the final stats."""
     best = None
     stats = None
     for _ in range(repeats):
-        sim = Simulator(config, programs, fast_forward=fast_forward)
+        sim = Simulator(config, programs)
+        run = sim.run_stepped if stepped else sim.run
         t0 = time.perf_counter()
-        stats = sim.run()
+        stats = run()
         elapsed = time.perf_counter() - t0
         if best is None or elapsed < best:
             best = elapsed
@@ -89,8 +91,8 @@ def _time_run(config, programs, fast_forward: bool, repeats: int = 3):
 
 
 def run_engine_comparison() -> dict:
-    """Time stepped vs fast-forward; both must produce identical
-    statistics."""
+    """Time the stepped reference vs the event-skip engine; both must
+    produce identical statistics."""
     n = ENGINE_PARAMS["processors"]
     config = _config(n)
     programs = lock_contention(
@@ -98,11 +100,10 @@ def run_engine_comparison() -> dict:
         rounds=ENGINE_PARAMS["rounds"],
         think_cycles=ENGINE_PARAMS["think_cycles"],
     )
-    stepped_s, stepped_stats = _time_run(config, programs,
-                                         fast_forward=False)
-    ff_s, ff_stats = _time_run(config, programs, fast_forward=True)
+    stepped_s, stepped_stats = _time_run(config, programs, stepped=True)
+    ff_s, ff_stats = _time_run(config, programs, stepped=False)
     assert _snapshot(ff_stats, n) == _snapshot(stepped_stats, n), (
-        "fast-forward diverged from the stepped engine"
+        "the event-skip engine diverged from the stepped reference"
     )
     cycles = stepped_stats.cycles
     return {
@@ -119,7 +120,9 @@ def run_engine_comparison() -> dict:
 
 
 def run_obs_overhead() -> dict:
-    """Hook-layer cost on the stepped engine: the shared ``NULL_OBS``
+    """Hook-layer cost on the stepped reference loop (one hook pass per
+    cycle, so the cost is not diluted by skipped spans): the shared
+    ``NULL_OBS``
     null object (the recorded baseline) vs an attached zero-sample
     ``Observability`` with tracing off (every ``if obs.active`` guard
     taken, hooks running, no spans) vs full causal tracing.  All three
@@ -151,10 +154,9 @@ def run_obs_overhead() -> dict:
     stats_by: dict[str, object] = {}
     for _ in range(7):
         for mode, factory in factories.items():
-            sim = Simulator(config, programs, fast_forward=False,
-                            obs=factory())
+            sim = Simulator(config, programs, obs=factory())
             t0 = time.perf_counter()
-            stats_by[mode] = sim.run()
+            stats_by[mode] = sim.run_stepped()
             elapsed = time.perf_counter() - t0
             if mode not in best or elapsed < best[mode]:
                 best[mode] = elapsed
@@ -197,7 +199,7 @@ def _probe_fabric(kind: str, n: int) -> dict:
     coherence traffic per bus transaction."""
     config = _topology_config(n, kind)
     programs = scale_probe(config)
-    sim = Simulator(config, programs, fast_forward=True)
+    sim = Simulator(config, programs)
     t0 = time.perf_counter()
     stats = sim.run()
     elapsed = time.perf_counter() - t0
@@ -236,7 +238,7 @@ def _probe_representation(entry: str, n: int) -> dict:
         topology=topo,
     )
     programs = scale_probe(config, **REPRESENTATION_WORKLOAD)
-    sim = Simulator(config, programs, fast_forward=True)
+    sim = Simulator(config, programs)
     t0 = time.perf_counter()
     stats = sim.run()
     elapsed = time.perf_counter() - t0
@@ -336,10 +338,12 @@ def run_topology_crossover() -> dict:
 
 
 def _sweep_run(n) -> object:
-    """Module-level so the process pool can pickle it."""
+    """Module-level so the process pool can pickle it.  Runs the stepped
+    reference loop: the sweep measures the executor, and stepped points
+    are heavy enough that worker startup does not swamp the scaling."""
     config = _config(int(n))
     programs = lock_contention(config, rounds=20, think_cycles=1000)
-    return Simulator(config, programs).run()
+    return Simulator(config, programs).run_stepped()
 
 
 def _available_cpus() -> int:
@@ -374,19 +378,19 @@ def run_sweep_scaling() -> dict:
 def test_fast_forward_speedup(benchmark):
     result = benchmark.pedantic(run_engine_comparison, rounds=1, iterations=1,
                                 warmup_rounds=0)
-    print("\nEngine: stepped vs fast-forward "
+    print("\nEngine: stepped reference vs event-skip "
           f"({result['processors']} processors, "
           f"think={result['think_cycles']}, {result['cycles']} cycles)")
     print(render_table(
         ["engine", "seconds", "cycles/sec"],
         [["stepped", f"{result['stepped_seconds']:.3f}",
           f"{result['stepped_cycles_per_sec']:,.0f}"],
-         ["fast-forward", f"{result['fast_forward_seconds']:.3f}",
+         ["event-skip", f"{result['fast_forward_seconds']:.3f}",
           f"{result['fast_forward_cycles_per_sec']:,.0f}"]],
     ))
     print(f"speedup: {result['speedup']:.1f}x")
     assert result["speedup"] >= 5.0, (
-        f"fast-forward speedup {result['speedup']:.1f}x below the 5x target"
+        f"event-skip speedup {result['speedup']:.1f}x below the 5x target"
     )
     _merge_result("engine", result)
 

@@ -14,24 +14,10 @@ from collections import defaultdict
 from pathlib import Path
 
 from repro import CacheConfig, LockStyle, SystemConfig
-from repro.sim.engine import set_fast_forward_default
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 _wall_times: dict[str, float] = defaultdict(float)
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--fast-forward", action="store_true", default=False,
-        help="run every bench simulation in event-skip mode "
-             "(identical statistics; faster on quiet-span workloads)",
-    )
-
-
-def pytest_configure(config):
-    if config.getoption("--fast-forward", default=False):
-        set_fast_forward_default(True)
 
 
 def pytest_runtest_logreport(report):

@@ -35,7 +35,7 @@ def observe(protocol: str, style: LockStyle) -> Observability:
     programs = lock_contention(config, rounds=6, think_cycles=20,
                                lock_style=style)
     obs = Observability(interval=100)
-    Simulator(config, programs, obs=obs, fast_forward=True).run()
+    Simulator(config, programs, obs=obs).run()
     return obs
 
 

@@ -3,9 +3,12 @@
 
 The golden pins the directory backend's observable behavior -- the full
 SimStats payload plus the fabric's message tallies -- across all ten
-protocols x {stepped, fast-forward} on the ``sharing`` workload.  Each
-run fills two cells, keyed by the two protocol execution cores
-(compiled, interpreted) the golden was first recorded under.  ``tests/bus/test_directory_conformance.py``
+protocols x {stepped, fast-forward} on the ``sharing`` workload: the
+``stepped`` cells come from the cycle-stepped reference loop
+(``Simulator.run_stepped``), the ``fast-forward`` cells from the
+event-skip engine (``Simulator.run``).  Each run fills two cells, keyed
+by the two protocol execution cores (compiled, interpreted) the golden
+was first recorded under.  ``tests/bus/test_directory_conformance.py``
 replays the same matrix and diffs against this file, so any refactor of
 ``repro.directory_backend`` (table-driven dispatch, sharer-set
 representations) must reproduce the pre-refactor full-bit-vector
@@ -44,14 +47,17 @@ PROCESSORS = 4
 WORKLOAD = "sharing"
 
 
-def matrix_cell(protocol: str, fast_forward: bool) -> dict:
+def matrix_cell(protocol: str, stepped: bool) -> dict:
     """One golden cell: SimStats payload + directory message tallies."""
     config = api._build_config(
         protocol, processors=PROCESSORS,
         topology=TopologyConfig(kind="directory", directory_banks=2))
     programs = build_workload(WORKLOAD, config)
     sim = Simulator(config, programs)
-    sim.run(fast_forward=fast_forward)
+    if stepped:
+        sim.run_stepped()
+    else:
+        sim.run()
     assert isinstance(sim.bus, DirectorySystem)
     return {
         "stats": sim.stats.to_payload(),
@@ -63,7 +69,7 @@ def build_golden() -> dict:
     cells = {}
     for protocol in sorted(PROTOCOLS):
         for mode in ("stepped", "fast-forward"):
-            cell = matrix_cell(protocol, mode == "fast-forward")
+            cell = matrix_cell(protocol, mode == "stepped")
             for core in ("compiled", "interpreted"):
                 cells[f"{protocol}/{mode}/{core}"] = cell
     return stamp({

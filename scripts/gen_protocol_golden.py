@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Regenerate the protocol-port golden fixture.
 
-Runs every protocol across the standard workload registry, stepped and
-fast-forward, and records the full ``SimStats.to_json()`` payload of
-each run.  The committed fixture (``tests/golden/simstats_golden.json``)
+Runs every protocol across the standard workload registry on the
+cycle-stepped reference loop (``Simulator.run_stepped``, the ``stepped``
+cells) and on the event-skip engine (``Simulator.run``, the ``ff``
+cells), and records the full ``SimStats.to_json()`` payload of each
+run.  The committed fixture (``tests/golden/simstats_golden.json``)
 was generated from the imperative pre-table protocol implementations;
 ``tests/protocols/test_table_golden.py`` asserts the table-driven port
 reproduces it bit-for-bit.
@@ -30,11 +32,20 @@ except ModuleNotFoundError:  # running from a checkout without install
 
 from repro.common.errors import ProgramError
 from repro.protocols import PROTOCOLS
-from repro.workloads.registry import WORKLOADS
+from repro.sim.engine import Simulator
+from repro.workloads.registry import WORKLOADS, build_workload
 
 #: The standard golden matrix: every protocol x every registered
-#: workload x stepped and fast-forward execution, at four processors.
+#: workload x stepped and event-skip execution, at four processors.
 PROCESSORS = 4
+
+
+def run_case(protocol: str, workload: str, stepped: bool) -> dict:
+    """One golden payload, built exactly as ``api.simulate`` builds it."""
+    config = api._build_config(protocol, processors=PROCESSORS)
+    sim = Simulator(config, build_workload(workload, config))
+    stats = sim.run_stepped() if stepped else sim.run()
+    return json.loads(stats.to_json())
 
 
 def build_golden() -> dict:
@@ -42,20 +53,15 @@ def build_golden() -> dict:
     skipped = {}
     for protocol in sorted(PROTOCOLS):
         for workload in sorted(WORKLOADS):
-            for fast_forward in (False, True):
-                mode = "ff" if fast_forward else "stepped"
+            for mode in ("stepped", "ff"):
                 key = f"{protocol}/{workload}/{mode}"
                 try:
-                    result = api.simulate(
-                        protocol, workload, processors=PROCESSORS,
-                        fast_forward=fast_forward,
-                    )
+                    cases[key] = run_case(protocol, workload,
+                                          mode == "stepped")
                 except ProgramError as exc:
                     # Some pairings are legitimately unsupported (e.g.
                     # classic write-through has no block-write op).
                     skipped[key] = str(exc)
-                    continue
-                cases[key] = json.loads(result.stats.to_json())
     return {
         "kind": "simstats-golden",
         "processors": PROCESSORS,

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.config import (CacheConfig, SystemConfig, TopologyConfig,
                                  WaitMode)
+from repro.common.errors import ConfigError
 from repro.common.schema import stamp
 from repro.mc.check import CheckReport
 from repro.mc.check import check as _mc_check
@@ -287,8 +288,9 @@ def _build_config(
         strict_verify=protocol != "write-through",
         wait_mode=WaitMode.WORK if work_while_waiting else WaitMode.SPIN,
         cache=CacheConfig(
-            words_per_block=words_per_block
-            or default_words_per_block(protocol),
+            words_per_block=(words_per_block
+                             if words_per_block is not None
+                             else default_words_per_block(protocol)),
             num_blocks=num_blocks,
         ),
         seed=seed,
@@ -320,7 +322,6 @@ def simulate(
     work_while_waiting: bool = False,
     seed: int = 0,
     check_interval: int = 0,
-    fast_forward: bool = False,
     sample_interval: int = 0,
     tracing: bool = False,
     max_wall_seconds: float | None = None,
@@ -375,8 +376,7 @@ def simulate(
         obs = Observability(interval=sample_interval or 100,
                             tracing=tracing)
     stats = run_workload(config, programs, check_interval=check_interval,
-                         fast_forward=fast_forward, obs=obs,
-                         max_wall_seconds=max_wall_seconds)
+                         obs=obs, max_wall_seconds=max_wall_seconds)
     obs_result = obs.result() if obs is not None else None
     if obs_result is not None and obs_result.attribution is not None:
         # The observability layer cannot know the protocol name; stamp it
@@ -405,7 +405,7 @@ _SWEEP_METRICS = {
 
 
 def _sweep_point(n, *, protocol: str, workload: str,
-                 fast_forward: bool = False, sample_interval: int = 0,
+                 sample_interval: int = 0,
                  max_wall_seconds: float | None = None,
                  topology: "TopologyConfig | str | None" = None,
                  clusters: int | None = None):
@@ -422,14 +422,14 @@ def _sweep_point(n, *, protocol: str, workload: str,
                            topology=topology, clusters=clusters)
     programs = build_workload(workload, config)
     if not sample_interval:
-        return run_workload(config, programs, fast_forward=fast_forward,
+        return run_workload(config, programs,
                             max_wall_seconds=max_wall_seconds)
     from repro.analysis.sweeps import ObservedPoint
     from repro.obs import Observability
 
     obs = Observability(interval=sample_interval)
-    stats = run_workload(config, programs, fast_forward=fast_forward,
-                         obs=obs, max_wall_seconds=max_wall_seconds)
+    stats = run_workload(config, programs, obs=obs,
+                         max_wall_seconds=max_wall_seconds)
     return ObservedPoint(stats=stats, obs=obs.result())
 
 
@@ -444,7 +444,6 @@ def sweep(
     workload: str = "lock-contention",
     *,
     processors: list[int] | tuple[int, ...] = (2, 4, 8),
-    fast_forward: bool = False,
     jobs: int = 1,
     sample_interval: int = 0,
     timeout: float | None = None,
@@ -484,6 +483,11 @@ def sweep(
     from repro.analysis.sweeps import Sweep
     from repro.faults import FaultPlan
 
+    # A bad processor count is a configuration error, not a point to
+    # retry: reject it before any point runs.
+    bad = [n for n in processors if n < 1]
+    if bad:
+        raise ConfigError(f"processor counts must be positive, got {bad}")
     if isinstance(faults, str):
         faults = FaultPlan.parse(faults, seed=fault_seed)
     resolved_topology = _resolve_topology(
@@ -494,7 +498,7 @@ def sweep(
         hop_cycles=hop_cycles, lookup_cycles=lookup_cycles)
     run = functools.partial(
         _sweep_point, protocol=protocol, workload=workload,
-        fast_forward=fast_forward, sample_interval=sample_interval,
+        sample_interval=sample_interval,
         max_wall_seconds=timeout, topology=resolved_topology,
     )
     policy = ExecutionPolicy(

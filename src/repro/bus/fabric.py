@@ -6,7 +6,7 @@ that assembles the corresponding fabric from a
 :class:`~repro.common.config.TopologyConfig`:
 
 * ``snoop`` -- the plain single :class:`~repro.bus.bus.Bus` (the paper's
-  broadcast bus; also what the engine's fast-forward path is calibrated
+  broadcast bus; also what the engine's event-skip loop is calibrated
   against, so the default stays bit-identical).
 * ``multibus`` -- :class:`~repro.bus.multibus.MultiBusSystem` with
   ``topology.buses`` block-interleaved buses (built even for one bus, so

@@ -44,20 +44,46 @@ REMOVED_FLAGS = {
     "--verify-every": "use --check-interval",
     "--cache-blocks": "use --num-blocks",
     "--dispatch": "there is now a single protocol core",
+    "--fast-forward": "the event-skip engine is now the only engine",
 }
 
 
 class _RemovedFlag(argparse.Action):
     """A flag that no longer exists: fail fast, naming the replacement.
 
-    Still registered (with ``nargs=1`` so ``--old 32`` parses as a unit)
-    so users get the precise replacement instead of argparse's generic
-    ``unrecognized arguments`` -- but any use is an error."""
+    Still registered (with ``nargs=1`` so ``--old 32`` parses as a unit,
+    or ``nargs=0`` for a removed switch) so users get the precise
+    replacement instead of argparse's generic ``unrecognized arguments``
+    -- but any use is an error."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         print(f"repro: error: {option_string} was removed; "
               f"{REMOVED_FLAGS[option_string]}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _number(kind: type, *, positive: bool):
+    """An argparse ``type`` for a ``kind`` number that must be > 0
+    (``positive``) or >= 0; a bad value exits 2 naming its flag."""
+
+    def parse(value: str):
+        try:
+            number = kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {value!r}") from None
+        if not (number > 0 if positive else number >= 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'positive' if positive else 'non-negative'}, "
+                f"got {value}")
+        return number
+
+    return parse
+
+
+_POSITIVE_INT = _number(int, positive=True)
+_NON_NEGATIVE_INT = _number(int, positive=False)
+_POSITIVE_FLOAT = _number(float, positive=True)
 
 
 def _add_fabric_flags(parser: argparse.ArgumentParser) -> None:
@@ -94,18 +120,15 @@ def _reject_fabric_conflicts(args: argparse.Namespace) -> None:
     """``--clusters`` still names the clustered fabric's clusters (and,
     for compatibility, directory banks), but giving it alongside the
     explicit ``--directory-banks`` is ambiguous: exit 2 naming both.
-    Without ``--topology``, a bad ``REPRO_TOPOLOGY`` also exits 2."""
+    Without ``--topology``, a bad ``REPRO_TOPOLOGY`` raises
+    :class:`ConfigError` (exit 2 from :func:`main`)."""
     if args.clusters is not None and args.directory_banks is not None:
         print("repro: error: --clusters and --directory-banks cannot be "
               "combined; use --directory-banks for the directory fabric "
               "and --clusters for the clustered fabric", file=sys.stderr)
         raise SystemExit(2)
     if args.topology is None:
-        try:
-            default_topology()
-        except ConfigError as exc:
-            print(f"repro: error: {exc}", file=sys.stderr)
-            raise SystemExit(2) from None
+        default_topology()
 
 
 def _workload_name(value: str) -> str:
@@ -158,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--work-while-waiting", action="store_true",
                      help="execute ready sections while busy-waiting (E.4)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--check-interval", type=int, default=0, metavar="N",
+    run.add_argument("--check-interval", type=_NON_NEGATIVE_INT, default=0,
+                     metavar="N",
                      help="run the invariant checker every N cycles")
     run.add_argument("--verify-every", action=_RemovedFlag, nargs=1,
                      help=argparse.SUPPRESS)
@@ -171,9 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit the full statistics as JSON")
     run.add_argument("--dispatch", action=_RemovedFlag, nargs=1,
                      help=argparse.SUPPRESS)
-    run.add_argument("--fast-forward", action="store_true",
-                     help="event-skip execution (identical statistics, "
-                          "much faster on workloads with quiet spans)")
+    run.add_argument("--fast-forward", action=_RemovedFlag, nargs=0,
+                     help=argparse.SUPPRESS)
     run.add_argument("--metrics-out", metavar="FILE", default=None,
                      help="write the interval sample series and metric "
                           "registry (.jsonl lines, .csv, or .json full dump)")
@@ -186,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the per-block heatmap (invalidations, "
                           "c2c transfers, lock handoffs); with FILE, also "
                           "write it as JSON")
-    run.add_argument("--sample-interval", type=int, default=100, metavar="N",
+    run.add_argument("--sample-interval", type=_POSITIVE_INT, default=100,
+                     metavar="N",
                      help="observability sampling interval in cycles "
                           "(default 100)")
     run.add_argument("--attribution", nargs="?", const="-", default=None,
@@ -211,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="bitar-despain")
     sweep.add_argument("--workload", type=_workload_name,
                        default="lock-contention", metavar="NAME")
-    sweep.add_argument("--processors", nargs="+", type=int,
+    sweep.add_argument("--processors", nargs="+", type=_POSITIVE_INT,
                        default=[2, 4, 8])
     sweep.add_argument("--topology", choices=FABRIC_KINDS, default=None,
                        help="interconnect fabric for every sweep point "
@@ -221,18 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fabric_flags(sweep)
     sweep.add_argument("--dispatch", action=_RemovedFlag, nargs=1,
                        help=argparse.SUPPRESS)
-    sweep.add_argument("--fast-forward", action="store_true",
-                       help="event-skip execution for every sweep point")
-    sweep.add_argument("-j", "--jobs", type=int, default=1,
+    sweep.add_argument("--fast-forward", action=_RemovedFlag, nargs=0,
+                       help=argparse.SUPPRESS)
+    sweep.add_argument("-j", "--jobs", type=_POSITIVE_INT, default=1,
                        help="worker processes for the sweep points")
     sweep.add_argument("--metrics-out", metavar="DIR", default=None,
                        help="collect per-point observability and write one "
                             "sample-series JSONL per sweep point into DIR")
-    sweep.add_argument("--sample-interval", type=int, default=100,
+    sweep.add_argument("--sample-interval", type=_POSITIVE_INT, default=100,
                        metavar="N",
                        help="observability sampling interval in cycles "
                             "(default 100)")
-    sweep.add_argument("--timeout", type=float, default=None,
+    sweep.add_argument("--timeout", type=_POSITIVE_FLOAT, default=None,
                        metavar="SECONDS",
                        help="per-point wall-clock budget; a point that "
                             "exceeds it is retried, then marked timeout")
@@ -354,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[s.value for s in LockStyle], default=None,
                        help="defaults to cache-lock on the proposal, "
                             "ttas elsewhere")
-    s_run.add_argument("--fast-forward", action="store_true")
+    s_run.add_argument("--fast-forward", action=_RemovedFlag, nargs=0,
+                       help=argparse.SUPPRESS)
     s_run.add_argument("--json", action="store_true",
                        help="emit the full statistics as JSON")
 
@@ -458,7 +483,6 @@ def command_run(args: argparse.Namespace) -> int:
             work_while_waiting=args.work_while_waiting,
             seed=args.seed,
             check_interval=args.check_interval,
-            fast_forward=args.fast_forward,
             sample_interval=args.sample_interval if observe else 0,
             tracing=tracing,
             max_wall_seconds=args.max_wall_seconds,
@@ -590,7 +614,6 @@ def command_sweep(args: argparse.Namespace) -> int:
             args.protocol,
             args.workload,
             processors=args.processors,
-            fast_forward=args.fast_forward,
             topology=args.topology,
             clusters=args.clusters,
             directory_banks=args.directory_banks,
@@ -828,8 +851,7 @@ def command_scenario(args: argparse.Namespace) -> int:
         programs = compile_scenario(spec, config, lock_style=style)
         result = api.simulate(args.protocol, workload=spec.name,
                               config=config, programs=programs,
-                              lock_style=style,
-                              fast_forward=args.fast_forward)
+                              lock_style=style)
         if args.json:
             print(result.stats.to_json())
             return 0
@@ -1004,6 +1026,15 @@ def command_table1(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigError as exc:
+        # A bad configuration is a usage error, reported like argparse's.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         return command_run(args)
     if args.command == "sweep":

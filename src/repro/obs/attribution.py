@@ -6,7 +6,7 @@ The partition is derived from two independent, already bit-identical
 sources -- the engine's :class:`~repro.sim.stats.ProcessorStats`
 counters and the :class:`~repro.obs.tracing.SpanTracer` tallies (both
 are event-cycle-driven) -- so the report is itself bit-identical
-between the stepped and fast-forward engines.
+between the stepped reference loop and the event-skip engine.
 
 Buckets (:data:`BUCKETS`):
 

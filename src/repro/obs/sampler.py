@@ -4,17 +4,18 @@ The :class:`IntervalSampler` turns the simulator's cumulative counters
 into a time series: one row per ``interval`` simulated cycles, plus a
 final partial row at run end.  It is driven by the engine's phase
 callback (:meth:`on_advance`, called whenever ``stats.cycles`` changes,
-once per cycle under the stepped engine and once per bulk skip under
-fast-forward) and reads event-derived gauges maintained by the
+once per bulk skip and once per executed cycle under the event-skip
+engine, once per cycle under the stepped reference loop) and reads
+event-derived gauges maintained by the
 :class:`~repro.obs.core.Observability` layer from the ``TraceLog``
 listener hook and the component publication hooks.
 
-Fast-forward equivalence
-------------------------
+Event-skip equivalence
+----------------------
 
-The series is bit-identical between the stepped and event-skip engines
-because every sampled quantity changes *only on event cycles* -- cycles
-both engines execute with an ordinary ``step()``:
+The series is bit-identical between the stepped reference loop and the
+event-skip engine because every sampled quantity changes *only on event
+cycles* -- cycles both loops execute with an ordinary ``step()``:
 
 * bus counters (busy cycles, transaction mix) are recorded in full at
   grant time;
@@ -27,7 +28,7 @@ both engines execute with an ordinary ``step()``:
 A boundary crossed inside a quiet span therefore sees exactly the
 counter values the stepped engine would have seen on that cycle: the
 stepped engine fills the span cycle-by-cycle without touching any
-sampled counter, and the fast-forward engine fills all boundaries in
+sampled counter, and the event-skip engine fills all boundaries in
 ``(from, to]`` in one call before executing the span-ending event.
 """
 

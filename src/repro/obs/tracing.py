@@ -9,7 +9,7 @@ The :class:`SpanTracer` is owned by an
 publication hooks.  Every hook fires on an *event* cycle (a grant,
 snoop, issue, wake, or retire), never from the per-cycle or quiet-span
 accounting, so the collected spans are bit-identical between the
-stepped and fast-forward engines.
+stepped reference loop and the event-skip engine.
 
 Span model (plain dicts, JSON-able):
 

@@ -5,19 +5,18 @@ collect), then the cycle counter.  A processor therefore sees a bus
 completion on the cycle the occupancy expires, and a request posted this
 cycle arbitrates next cycle -- a one-cycle arbitration latency.
 
-Two execution modes produce bit-identical statistics:
-
-* **stepped** -- :meth:`Simulator.step` once per bus cycle (the reference
-  semantics above);
-* **fast-forward** -- the engine asks every component for its next
-  *interesting* cycle (bus occupancy expiry, compute completion, crossbar
-  return) and advances the clock and all per-cycle counters in bulk
-  across the quiet span.  Skipped cycles are exactly those in which the
-  stepped engine would only have incremented counters: the bus is inert
-  until its occupancy expires, and a parked or computing processor cannot
-  issue.  Arbitration order is therefore unaffected -- every cycle in
-  which a grant, snoop, issue, retire, or wake could occur is still
-  executed by the ordinary :meth:`step`.
+One execution engine runs a simulation, :meth:`Simulator.run`: it asks
+every component for its next *interesting* cycle (bus occupancy expiry,
+compute completion, crossbar return) and advances the clock and all
+per-cycle counters in bulk across the quiet span.  Skipped cycles are
+exactly those in which a cycle-by-cycle loop would only have incremented
+counters: the bus is inert until its occupancy expires, and a parked or
+computing processor cannot issue.  Arbitration order is therefore
+unaffected -- every cycle in which a grant, snoop, issue, retire, or wake
+could occur is still executed by the ordinary :meth:`Simulator.step`.
+:meth:`Simulator.run_stepped` keeps that cycle-by-cycle loop as the
+reference semantics the event-skip loop must reproduce bit for bit; only
+the equivalence tests and the engine benchmark call it.
 """
 
 from __future__ import annotations
@@ -42,25 +41,6 @@ from repro.sim.stats import SimStats
 from repro.verify.invariants import InvariantChecker
 from repro.verify.oracle import WriteOracle
 
-#: Process-wide default execution mode, used when neither the Simulator
-#: nor the run() call specifies one.  The CLI's ``--fast-forward`` flag
-#: and the benchmark harness's ``--fast-forward`` option set this.
-FAST_FORWARD_DEFAULT = False
-
-
-def set_fast_forward_default(value: bool) -> bool:
-    """Set the process-wide default execution mode; returns the old one."""
-    global FAST_FORWARD_DEFAULT
-    old = FAST_FORWARD_DEFAULT
-    FAST_FORWARD_DEFAULT = bool(value)
-    return old
-
-
-#: Stepped-loop iterations between wall-clock watchdog checks; keeps the
-#: hot path at one integer compare per cycle when a watchdog is armed.
-WATCHDOG_STRIDE = 1024
-
-
 class Simulator:
     """A complete simulated system executing one program per processor."""
 
@@ -71,10 +51,22 @@ class Simulator:
         *,
         trace: bool = False,
         check_interval: int = 0,
-        fast_forward: bool | None = None,
+        fast_forward: bool = True,
         obs: Observability | None = None,
         scheduler: "Scheduler | None" = None,
     ) -> None:
+        # Removed-knob guard: the event-skip loop is the only engine, and
+        # True is the one legal value.  The parameter stays only because
+        # perfbench's cases still pass fast_forward=True; it goes
+        # when the benchmark is next revised.
+        if fast_forward is not True:
+            raise ConfigError(
+                "fast_forward=False was removed: the event-skip engine is "
+                "now the only engine; Simulator.run_stepped() runs the "
+                "cycle-stepped reference loop")
+        if check_interval < 0:
+            raise ConfigError(
+                f"check_interval must be >= 0, got {check_interval}")
         if len(programs) != config.num_processors:
             raise ConfigError(
                 f"{config.num_processors} processors but {len(programs)} programs"
@@ -85,8 +77,6 @@ class Simulator:
                 "set cache.words_per_block=1"
             )
         self.config = config
-        #: None defers to the module-level FAST_FORWARD_DEFAULT at run().
-        self.fast_forward = fast_forward
         #: Resolves the engine's nondeterministic tie-breaks (bus
         #: arbitration, issue order, read source, waiter wake); ``None``
         #: keeps the built-in deterministic choices on the fast path.
@@ -198,7 +188,7 @@ class Simulator:
         self._finish_cycle()
 
     def _finish_cycle(self) -> None:
-        """The processor half of :meth:`step`.  The fast-forward loop
+        """The processor half of :meth:`step`.  The event-skip loop
         calls this directly on cycles where the bus is provably inert
         (not busy, no release owed, no request hint posted), skipping the
         no-op arbitration scan."""
@@ -276,42 +266,37 @@ class Simulator:
             processor.tick(cycle)
 
     def run(self, max_cycles: int | None = None,
-            fast_forward: bool | None = None,
             max_wall_seconds: float | None = None) -> SimStats:
-        """Run to completion (or ``max_cycles``); returns the statistics.
-
-        ``fast_forward`` overrides the Simulator's mode for this run; both
-        modes produce identical statistics (see the module docstring).
+        """Run to completion (or ``max_cycles``) on the event-skip loop;
+        returns the statistics.
 
         ``max_wall_seconds`` arms the engine watchdog: a run that is
         still going after that much wall-clock time is aborted with a
         :class:`~repro.common.errors.WatchdogTimeout` carrying a
         :meth:`diagnostics` snapshot (bus, cache, and lock-queue state)
         so a wedged simulation is debuggable post mortem.  The check
-        runs every :data:`WATCHDOG_STRIDE` cycles, so the overshoot is
-        bounded by the wall time of one stride.
+        runs once per event, so the overshoot is bounded by the wall
+        time of one event.
         """
         self.arm_watchdog(max_wall_seconds)
-        if fast_forward is None:
-            fast_forward = self.fast_forward
-        if fast_forward is None:
-            fast_forward = FAST_FORWARD_DEFAULT
-        if fast_forward:
-            return self._run_fast(max_cycles)
+        return self._run_fast(max_cycles)
+
+    def run_stepped(self, max_cycles: int | None = None) -> SimStats:
+        """The reference semantics: :meth:`step` once per bus cycle until
+        done (or ``max_cycles``).
+
+        :meth:`run` must reproduce this loop's statistics, traces, and
+        deadlock cycles bit for bit; it exists as the oracle for that
+        equivalence (the tests and the engine benchmark), not as a way
+        to run simulations.  It takes no watchdog.
+        """
         horizon = self.config.deadlock_horizon
         step = self.step
         watch = self._watch_progress
         stats = self.stats
-        deadline = self._watchdog_deadline
-        countdown = 0
         while not self.done:
             if max_cycles is not None and stats.cycles >= max_cycles:
                 break
-            if deadline is not None:
-                if countdown == 0:
-                    countdown = WATCHDOG_STRIDE
-                    self.check_watchdog()
-                countdown -= 1
             step()
             watch(horizon)
         return self._finish()
@@ -530,7 +515,6 @@ def run_workload(
     max_cycles: int | None = None,
     check_interval: int = 0,
     trace: bool = False,
-    fast_forward: bool | None = None,
     obs: Observability | None = None,
     max_wall_seconds: float | None = None,
 ) -> SimStats:
@@ -539,6 +523,5 @@ def run_workload(
     ``max_wall_seconds`` arms the engine watchdog (see
     :meth:`Simulator.run`)."""
     sim = Simulator(config, programs, trace=trace,
-                    check_interval=check_interval, fast_forward=fast_forward,
-                    obs=obs)
+                    check_interval=check_interval, obs=obs)
     return sim.run(max_cycles=max_cycles, max_wall_seconds=max_wall_seconds)

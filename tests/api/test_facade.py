@@ -6,6 +6,7 @@ import pytest
 
 from repro import SimStats, api
 from repro.common.config import SystemConfig
+from repro.common.errors import ConfigError
 from repro.processor.program import LockStyle
 
 
@@ -45,6 +46,15 @@ class TestSimulate:
         baseline = run_workload(result.config, programs)
         assert result.stats.to_payload() == baseline.to_payload()
 
+    def test_zero_words_per_block_rejected(self):
+        """0 is a value, not "use the default": it must fail validation."""
+        with pytest.raises(ConfigError, match="words_per_block"):
+            api.simulate(processors=2, words_per_block=0)
+
+    def test_fast_forward_keyword_removed(self):
+        with pytest.raises(TypeError):
+            api.simulate(processors=2, fast_forward=True)
+
     def test_unknown_workload_named(self):
         with pytest.raises(KeyError, match="nope"):
             api.simulate(workload="nope")
@@ -64,6 +74,10 @@ class TestSweep:
         assert len(result.series["cycles"]) == 2
         assert len(result.stats) == 2
         assert all(isinstance(s, SimStats) for s in result.stats)
+
+    def test_bad_processor_count_rejected_up_front(self):
+        with pytest.raises(ConfigError, match=r"\[0\]"):
+            api.sweep(processors=[0, 2], keep_going=True)
 
     def test_to_dict_serializes(self):
         data = api.sweep(processors=[2]).to_dict()

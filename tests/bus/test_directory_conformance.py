@@ -2,20 +2,22 @@
 
 The table-driven home bank must be a pure refactor of the hard-coded
 policy it replaced: with the default full-bit-vector entry, every run
-of {ten protocols} x {stepped, fast-forward} must reproduce the
-committed golden (SimStats payload + fabric message tallies) bit for
-bit.  The golden was recorded when there were two protocol execution
-cores (compiled and interpreted), so each run is checked against both
-of its cells.  The compact representations (limited-pointer,
-coarse-vector) trade precision for storage, so they are held to the
-coherence bar instead: deadlock-free, verifier-clean runs and a clean
-model-checking pass over the directory scenarios.
+of the ten protocols must reproduce the committed golden (SimStats
+payload + fabric message tallies) bit for bit.  The golden was recorded
+under two execution modes (stepped, fast-forward) and two protocol
+execution cores (compiled, interpreted); the event-skip engine and the
+single protocol core now stand for all four, so one run per protocol is
+checked against all four of its cells.  The compact representations
+(limited-pointer, coarse-vector) trade precision for storage, so they
+are held to the coherence bar instead: deadlock-free, verifier-clean
+runs and a clean model-checking pass over the directory scenarios.
 
 Regenerate the golden with ``scripts/gen_directory_golden.py`` only
 when the directory's observable behavior changes *on purpose*.
 """
 
 import dataclasses
+import functools
 import json
 import warnings
 from pathlib import Path
@@ -33,24 +35,28 @@ from repro.workloads.registry import build_workload
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "directory_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
+#: The execution-mode and execution-core names the golden's cell keys
+#: were recorded under.
 MODES = ("stepped", "fast-forward")
-#: The execution-core names the golden's cell keys were recorded under.
 GOLDEN_CORES = ("compiled", "interpreted")
 
 
-def _matrix_cell(protocol: str, mode: str) -> dict:
+@functools.lru_cache(maxsize=None)
+def _matrix_cell(protocol: str) -> str:
+    """One run of ``protocol`` on the event-skip engine, as JSON text
+    (cached: every mode's test case asserts the same run)."""
     config = api._build_config(
         protocol, processors=GOLDEN["processors"],
         topology=TopologyConfig(kind="directory",
                                 directory_banks=GOLDEN["directory_banks"]))
     programs = build_workload(GOLDEN["workload"], config)
     sim = Simulator(config, programs)
-    sim.run(fast_forward=mode == "fast-forward")
+    sim.run()
     assert isinstance(sim.bus, DirectorySystem)
-    return {
+    return json.dumps({
         "stats": sim.stats.to_payload(),
         "message_tallies": sim.bus.message_tallies(),
-    }
+    })
 
 
 class TestFullVectorMatrixIsBitIdentical:
@@ -62,7 +68,7 @@ class TestFullVectorMatrixIsBitIdentical:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_cell_matches_golden(self, protocol, mode):
-        got = json.loads(json.dumps(_matrix_cell(protocol, mode)))
+        got = json.loads(_matrix_cell(protocol))
         for core in GOLDEN_CORES:
             key = f"{protocol}/{mode}/{core}"
             assert got == GOLDEN["cells"][key], (
@@ -104,11 +110,13 @@ class TestCompactRepresentationsStayCoherent:
     @pytest.mark.parametrize("name", sorted(COMPACT_TOPOLOGIES))
     def test_fast_forward_identity(self, name):
         topo = COMPACT_TOPOLOGIES[name]
-        stepped = api.simulate("bitar-despain", "lock-contention",
-                               processors=6, topology=topo)
+        config = api._build_config("bitar-despain", processors=6,
+                                   topology=topo)
+        programs = build_workload("lock-contention", config)
+        stepped = Simulator(config, programs).run_stepped()
         fast = api.simulate("bitar-despain", "lock-contention",
-                            processors=6, topology=topo, fast_forward=True)
-        assert stepped.stats.to_payload() == fast.stats.to_payload()
+                            processors=6, topology=topo)
+        assert stepped.to_payload() == fast.stats.to_payload()
 
     @pytest.mark.parametrize("scenario", ["directory-upgrade",
                                           "directory-overflow"])

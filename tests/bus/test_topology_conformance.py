@@ -60,14 +60,18 @@ class TestScaledFabricsStayCoherent:
         assert result.topology == "directory"
 
     def test_fast_forward_identity_on_new_fabrics(self):
+        from repro.sim.engine import Simulator
+        from repro.workloads.registry import build_workload
+
         for topo in (TopologyConfig(kind="clustered", clusters=2),
                      TopologyConfig(kind="directory", directory_banks=2)):
-            stepped = api.simulate("bitar-despain", "lock-contention",
-                                   processors=6, topology=topo)
+            config = api._build_config("bitar-despain", processors=6,
+                                       topology=topo)
+            programs = build_workload("lock-contention", config)
+            stepped = Simulator(config, programs).run_stepped()
             fast = api.simulate("bitar-despain", "lock-contention",
-                                processors=6, topology=topo,
-                                fast_forward=True)
-            assert stepped.stats.to_payload() == fast.stats.to_payload()
+                                processors=6, topology=topo)
+            assert stepped.to_payload() == fast.stats.to_payload()
 
     def test_directory_prunes_traffic_relative_to_broadcast(self):
         from repro.directory_backend import DirectorySystem

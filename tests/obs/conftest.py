@@ -12,9 +12,10 @@ from repro.workloads import lock_contention
 
 
 def _observed_run(protocol: str = "bitar-despain", *, n: int = 4,
-                  interval: int = 50, fast_forward: bool = False,
+                  interval: int = 50, stepped: bool = False,
                   **workload_kwargs):
-    """Run a contended-lock workload with observability attached."""
+    """Run a contended-lock workload with observability attached
+    (``stepped`` runs the cycle-stepped reference loop)."""
     config = SystemConfig(
         num_processors=n,
         protocol=protocol,
@@ -27,8 +28,8 @@ def _observed_run(protocol: str = "bitar-despain", *, n: int = 4,
     workload_kwargs.setdefault("think_cycles", 9)
     programs = lock_contention(config, lock_style=style, **workload_kwargs)
     obs = Observability(interval=interval)
-    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward)
-    stats = sim.run()
+    sim = Simulator(config, programs, obs=obs)
+    stats = sim.run_stepped() if stepped else sim.run()
     return obs, stats
 
 

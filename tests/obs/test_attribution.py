@@ -32,7 +32,7 @@ MATRIX = [
 
 
 def _attributed(protocol: str, style: LockStyle, *,
-                fast_forward: bool = False, n: int = 4):
+                stepped: bool = False, n: int = 4):
     config = SystemConfig(
         num_processors=n,
         protocol=protocol,
@@ -42,8 +42,8 @@ def _attributed(protocol: str, style: LockStyle, *,
     programs = lock_contention(config, lock_style=style,
                                rounds=5, think_cycles=9)
     obs = Observability(interval=50, tracing=True)
-    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward)
-    stats = sim.run()
+    sim = Simulator(config, programs, obs=obs)
+    stats = sim.run_stepped() if stepped else sim.run()
     return obs, stats
 
 
@@ -97,14 +97,13 @@ class TestBitIdentity:
     @pytest.mark.parametrize("protocol,style", MATRIX,
                              ids=[protocol for protocol, _ in MATRIX])
     def test_identical_across_engines(self, protocol, style):
-        def attribution(fast_forward: bool) -> dict:
-            obs, stats = _attributed(protocol, style,
-                                     fast_forward=fast_forward)
+        def attribution(stepped: bool) -> dict:
+            obs, stats = _attributed(protocol, style, stepped=stepped)
             return compute_attribution(obs.tracer, stats,
                                        protocol=protocol).to_dict()
 
-        assert attribution(True) == attribution(False), (
-            f"{protocol}: attribution diverges under fast-forward")
+        assert attribution(False) == attribution(True), (
+            f"{protocol}: attribution diverges from the stepped reference")
 
 
 class TestCausalStory:

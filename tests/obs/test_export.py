@@ -111,8 +111,8 @@ class TestChromeTrace:
         assert json.loads(path.read_text()) == chrome_trace(obs)
 
     def test_fast_forward_trace_identical(self, observed_run):
-        stepped_obs, _ = observed_run("bitar-despain", fast_forward=False)
-        fast_obs, _ = observed_run("bitar-despain", fast_forward=True)
+        stepped_obs, _ = observed_run("bitar-despain", stepped=True)
+        fast_obs, _ = observed_run("bitar-despain")
         assert chrome_trace(stepped_obs) == chrome_trace(fast_obs)
 
 

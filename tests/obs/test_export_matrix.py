@@ -1,7 +1,7 @@
 """Exporter byte-identity: every serialized observability artifact --
 metrics JSONL/CSV, the Perfetto trace, the span trace, and the folded
-flamegraph stacks -- must be byte-for-byte identical across the
-stepped/fast-forward engines on a fixed scenario."""
+flamegraph stacks -- must be byte-for-byte identical between the
+stepped reference loop and the event-skip engine on a fixed scenario."""
 
 from __future__ import annotations
 
@@ -24,12 +24,12 @@ from repro.processor.program import LockStyle
 from repro.sim.engine import Simulator
 from repro.workloads import lock_contention
 
-#: The engine combinations, as ``fast_forward`` flags: stepped, then
-#: fast-forward.
-COMBOS = [False, True]
+#: The engine combinations, as ``stepped`` flags: the stepped
+#: reference, then the event-skip engine.
+COMBOS = [True, False]
 
 
-def _artifacts(fast_forward: bool) -> dict[str, str]:
+def _artifacts(stepped: bool) -> dict[str, str]:
     config = SystemConfig(
         num_processors=4,
         protocol="bitar-despain",
@@ -39,8 +39,8 @@ def _artifacts(fast_forward: bool) -> dict[str, str]:
     programs = lock_contention(config, lock_style=LockStyle.CACHE_LOCK,
                                rounds=5, think_cycles=9)
     obs = Observability(interval=50, tracing=True)
-    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward)
-    stats = sim.run()
+    sim = Simulator(config, programs, obs=obs)
+    stats = sim.run_stepped() if stepped else sim.run()
     result = obs.result()
     report = compute_attribution(obs.tracer, stats)
     trace = chrome_trace(result)
@@ -66,7 +66,7 @@ def test_artifact_byte_identical_across_all_combos(matrix, artifact):
     assert reference, f"{artifact} export is empty"
     for combo in COMBOS[1:]:
         assert matrix[combo][artifact] == reference, (
-            f"{artifact} diverges for fast_forward={combo}")
+            f"{artifact} diverges for stepped={combo}")
 
 
 def test_perfetto_carries_span_slices_and_flow_events(matrix):

@@ -13,7 +13,7 @@ from repro.workloads import lock_contention
 
 
 def _traced_run(protocol: str = "bitar-despain", *, n: int = 4,
-                fast_forward: bool = False,
+                stepped: bool = False,
                 style: LockStyle | None = None):
     config = SystemConfig(
         num_processors=n,
@@ -27,8 +27,8 @@ def _traced_run(protocol: str = "bitar-despain", *, n: int = 4,
     programs = lock_contention(config, lock_style=style,
                                rounds=5, think_cycles=9)
     obs = Observability(interval=50, tracing=True)
-    sim = Simulator(config, programs, obs=obs, fast_forward=fast_forward)
-    stats = sim.run()
+    sim = Simulator(config, programs, obs=obs)
+    stats = sim.run_stepped() if stepped else sim.run()
     return obs, stats
 
 
@@ -107,10 +107,10 @@ class TestEngineIndependence:
         ("illinois", LockStyle.TTAS),
     ])
     def test_spans_identical_across_engines(self, protocol, style):
-        def spans(fast_forward: bool) -> list:
+        def spans(stepped: bool) -> list:
             obs, _stats = _traced_run(protocol, style=style,
-                                      fast_forward=fast_forward)
+                                      stepped=stepped)
             return obs.result().spans
 
-        assert spans(True) == spans(False), (
-            f"{protocol}: spans diverge under fast-forward")
+        assert spans(False) == spans(True), (
+            f"{protocol}: spans diverge from the stepped reference")

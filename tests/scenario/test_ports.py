@@ -2,16 +2,18 @@
 
 Identity is asserted at two levels: the generated operation streams
 (kind/addr/value/cycles/ready_work/private_hint, per program, per pid)
-and the end-to-end :class:`SimStats` under both engines (stepped and
-fast-forward). There is a single protocol core; a ``REPRO_DISPATCH``
+and the end-to-end :class:`SimStats` under both the event-skip engine
+and the stepped reference loop (``fast_forward`` False selects the
+latter). There is a single protocol core; a ``REPRO_DISPATCH``
 value left in the environment from when there were two must not change
 any run, so the stats check repeats under each of its former values.
 """
 
 import pytest
 
-from repro.api import simulate
+from repro.api import _build_config, simulate
 from repro.processor.program import LockStyle
+from repro.sim.engine import Simulator
 from repro.workloads.registry import WORKLOADS, build_workload
 from tests.conftest import config_for
 
@@ -25,6 +27,15 @@ def _op_key(op):
 
 def _fingerprint(programs):
     return [(p.name, [_op_key(op) for op in p.ops]) for p in programs]
+
+
+def _stats(workload: str, fast_forward: bool) -> dict:
+    if fast_forward:
+        return simulate(workload=workload, protocol="bitar-despain",
+                        processors=4).stats.to_dict()
+    config = _build_config("bitar-despain", processors=4)
+    programs = build_workload(workload, config)
+    return Simulator(config, programs).run_stepped().to_dict()
 
 
 class TestOpIdentity:
@@ -52,11 +63,9 @@ class TestStatsIdentity:
     def test_simstats_bit_identical(self, name, fast_forward, dispatch,
                                     monkeypatch):
         monkeypatch.setenv("REPRO_DISPATCH", dispatch)
-        kwargs = dict(protocol="bitar-despain", processors=4,
-                      fast_forward=fast_forward)
-        imperative = simulate(workload=name, **kwargs)
-        declarative = simulate(workload=f"scenario:{name}", **kwargs)
-        assert declarative.stats.to_dict() == imperative.stats.to_dict()
+        imperative = _stats(name, fast_forward)
+        declarative = _stats(f"scenario:{name}", fast_forward)
+        assert declarative == imperative
 
     @pytest.mark.parametrize("name", PORTS)
     def test_scenario_entries_registered(self, name):

@@ -1,9 +1,10 @@
-"""Fast-forward (event-skip) execution: exact equivalence with stepping.
+"""Event-skip execution: exact equivalence with the stepped reference.
 
-The contract is strong: for every protocol and workload, the fast-forward
-engine must produce *bit-identical* statistics to the cycle-stepped
-reference -- same cycle count, same per-transaction accounting, same
-per-processor counter splits -- and raise deadlocks at the same cycle.
+The contract is strong: for every protocol and workload, the event-skip
+loop (:meth:`Simulator.run`) must produce *bit-identical* statistics to
+the cycle-stepped reference (:meth:`Simulator.run_stepped`) -- same cycle
+count, same per-transaction accounting, same per-processor counter
+splits, same scheduler choices -- and raise deadlocks at the same cycle.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ import dataclasses
 import pytest
 
 from repro import CacheConfig, SystemConfig, run_workload
-from repro.common.errors import DeadlockError
+from repro.aquarius import AquariusSimulator, aquarius_workload
+from repro.common.errors import ConfigError, DeadlockError
 from repro.obs import Observability
 from repro.processor import isa
 from repro.processor.program import LockStyle, Program
 from repro.protocols import PROTOCOLS
-from repro.sim.engine import Simulator, set_fast_forward_default
+from repro.sim.engine import Simulator
 from repro.sim.events import NULL_TRACE, EventKind, TraceLog
+from repro.sim.schedule import RandomScheduler, RecordingScheduler
 from repro.workloads import lock_contention, producer_consumer
 from repro.workloads.false_sharing import dubois_briggs_sharing
 
@@ -30,7 +33,18 @@ WORKLOADS = {
         cfg, items=5, think_cycles=7, lock_style=style),
     "false_sharing": lambda cfg, style: dubois_briggs_sharing(
         cfg, rounds=3, lock_style=style),
+    "aquarius": lambda cfg, style: aquarius_workload(
+        cfg, tasks_per_processor=3),
 }
+
+#: Workloads that need a Simulator subclass (the rest use Simulator).
+SIMULATORS = {"aquarius": AquariusSimulator}
+
+#: Every protocol on every workload, plus the Aquarius crossbar system
+#: (its queue uses the proposal's lock instruction).
+MATRIX = [(protocol, workload) for protocol in sorted(PROTOCOLS)
+          for workload in sorted(WORKLOADS) if workload != "aquarius"]
+MATRIX.append(("bitar-despain", "aquarius"))
 
 
 def _config(protocol: str, n: int = 4, **kwargs) -> SystemConfig:
@@ -59,20 +73,18 @@ def _snapshot(stats, n: int) -> dict:
 
 
 class TestEquivalenceMatrix:
-    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("protocol,workload", MATRIX)
     def test_identical_stats(self, protocol, workload):
         """Stats AND the observability layer's outputs -- the interval
         sample series, metric snapshot, and timeline slices -- must be
         bit-identical across the two engines."""
         config = _config(protocol)
         programs = WORKLOADS[workload](config, _style(protocol))
+        simulator = SIMULATORS.get(workload, Simulator)
         stepped_obs = Observability(interval=64)
         fast_obs = Observability(interval=64)
-        stepped_sim = Simulator(config, programs, obs=stepped_obs)
-        fast_sim = Simulator(config, programs, obs=fast_obs)
-        stepped = stepped_sim.run(fast_forward=False)
-        fast = fast_sim.run(fast_forward=True)
+        stepped = simulator(config, programs, obs=stepped_obs).run_stepped()
+        fast = simulator(config, programs, obs=fast_obs).run()
         assert _snapshot(stepped, 4) == _snapshot(fast, 4)
         assert stepped_obs.result() == fast_obs.result()
         assert len(stepped_obs.result().samples) > 0
@@ -80,10 +92,8 @@ class TestEquivalenceMatrix:
     def test_checker_interval_equivalent(self):
         config = _config("bitar-despain")
         programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        stepped = Simulator(config, programs,
-                            check_interval=7).run(fast_forward=False)
-        fast = Simulator(config, programs,
-                         check_interval=7).run(fast_forward=True)
+        stepped = Simulator(config, programs, check_interval=7).run_stepped()
+        fast = Simulator(config, programs, check_interval=7).run()
         assert _snapshot(stepped, 4) == _snapshot(fast, 4)
 
     def test_max_cycles_and_resume_equivalent(self):
@@ -91,36 +101,55 @@ class TestEquivalenceMatrix:
         programs = [Program([isa.compute(400), isa.read(0), isa.write(0)]),
                     Program([isa.read(64), isa.compute(600), isa.write(64)])]
         stepped = Simulator(config, programs)
-        fast = Simulator(config, programs, fast_forward=True)
-        stepped.run(max_cycles=250)
+        fast = Simulator(config, programs)
+        stepped.run_stepped(max_cycles=250)
         fast.run(max_cycles=250)
         assert _snapshot(stepped.stats, 2) == _snapshot(fast.stats, 2)
         assert not fast.done
-        stepped.run()
+        stepped.run_stepped()
         fast.run()
         assert stepped.done and fast.done
         assert _snapshot(stepped.stats, 2) == _snapshot(fast.stats, 2)
 
 
-class TestModeSelection:
-    def test_process_default_applies(self):
-        config = _config("bitar-despain", n=2)
-        programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        baseline = Simulator(config, programs).run(fast_forward=False)
-        old = set_fast_forward_default(True)
-        try:
-            defaulted = Simulator(config, programs).run()
-        finally:
-            set_fast_forward_default(old)
-        assert _snapshot(baseline, 2) == _snapshot(defaulted, 2)
+class TestSchedulerEquivalence:
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_random_schedule_identical(self, protocol):
+        """A scheduler sees the same choice points, in the same order and
+        at the same cycles, on both loops -- so a seeded random schedule
+        takes the same choices and ends in the same statistics."""
+        config = _config(protocol)
+        programs = WORKLOADS["lock_contention"](config, _style(protocol))
+        runs = []
+        for stepped in (True, False):
+            recorder = RecordingScheduler(RandomScheduler(3))
+            sim = Simulator(config, programs, check_interval=1,
+                            scheduler=recorder)
+            stats = sim.run_stepped() if stepped else sim.run()
+            runs.append((_snapshot(stats, 4), recorder.choices))
+        assert runs[0] == runs[1]
+        assert runs[0][1], "contended run must hit choice points"
 
-    def test_run_argument_overrides_simulator(self):
+
+class TestRemovedKnob:
+    def test_fast_forward_true_still_accepted(self):
         config = _config("bitar-despain", n=2)
         programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
-        sim = Simulator(config, programs, fast_forward=True)
-        stats = sim.run(fast_forward=False)
-        ref = Simulator(config, programs).run(fast_forward=False)
+        stats = Simulator(config, programs, fast_forward=True).run()
+        ref = Simulator(config, programs).run_stepped()
         assert _snapshot(stats, 2) == _snapshot(ref, 2)
+
+    def test_fast_forward_false_names_the_reference_loop(self):
+        config = _config("bitar-despain", n=2)
+        programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
+        with pytest.raises(ConfigError, match="run_stepped"):
+            Simulator(config, programs, fast_forward=False)
+
+    def test_negative_check_interval_rejected(self):
+        config = _config("bitar-despain", n=2)
+        programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
+        with pytest.raises(ConfigError, match="check_interval"):
+            Simulator(config, programs, check_interval=-5)
 
 
 class TestDeadlockEquivalence:
@@ -137,18 +166,19 @@ class TestDeadlockEquivalence:
     def test_lock_deadlock_raises_at_same_cycle(self):
         config, programs = self._abba()
         cycles = []
-        for fast_forward in (False, True):
-            sim = Simulator(config, programs, fast_forward=fast_forward)
+        for stepped in (True, False):
+            sim = Simulator(config, programs)
+            run = sim.run_stepped if stepped else sim.run
             with pytest.raises(DeadlockError):
-                sim.run(max_cycles=200000)
+                run(max_cycles=200000)
             cycles.append(sim.stats.cycles)
         assert cycles[0] == cycles[1]
 
     def test_horizon_measured_in_simulated_cycles(self):
         """A bulk jump across the horizon must still trip the watchdog --
-        the fast-forward engine may not sail past it in one skip."""
+        the event-skip loop may not sail past it in one skip."""
         config, programs = self._abba()
-        sim = Simulator(config, programs, fast_forward=True)
+        sim = Simulator(config, programs)
         with pytest.raises(DeadlockError):
             sim.run(max_cycles=200000)
         # horizon + the two lock grants' aftermath, nowhere near max_cycles
@@ -156,8 +186,7 @@ class TestDeadlockEquivalence:
 
     def test_long_compute_is_not_deadlock(self):
         config = SystemConfig(num_processors=1, deadlock_horizon=100)
-        stats = run_workload(config, [Program([isa.compute(5000)])],
-                             fast_forward=True)
+        stats = run_workload(config, [Program([isa.compute(5000)])])
         assert stats.processor(0).compute_cycles == 5000
 
 
@@ -166,9 +195,9 @@ class TestTraceEquivalence:
         config = _config("bitar-despain")
         programs = WORKLOADS["lock_contention"](config, LockStyle.CACHE_LOCK)
         stepped = Simulator(config, programs, trace=True)
-        stepped.run(fast_forward=False)
+        stepped.run_stepped()
         fast = Simulator(config, programs, trace=True)
-        fast.run(fast_forward=True)
+        fast.run()
         assert stepped.trace.events() == fast.trace.events()
         assert len(fast.trace.events(EventKind.BUS_TXN)) > 0
 

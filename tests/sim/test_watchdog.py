@@ -4,6 +4,8 @@ import pytest
 
 from repro import api
 from repro.common.errors import WatchdogTimeout
+from repro.sim.engine import Simulator
+from repro.workloads.registry import build_workload
 
 
 class TestWatchdog:
@@ -17,9 +19,10 @@ class TestWatchdog:
             api.simulate(processors=2, max_wall_seconds=0.0)
 
     def test_fast_forward_path_is_watched(self):
+        config = api._build_config("bitar-despain", processors=2)
+        sim = Simulator(config, build_workload("lock-contention", config))
         with pytest.raises(WatchdogTimeout):
-            api.simulate(processors=2, fast_forward=True,
-                         max_wall_seconds=0.0)
+            sim.run(max_wall_seconds=0.0)
 
     def test_diagnostics_describe_the_machine(self):
         with pytest.raises(WatchdogTimeout) as info:

@@ -145,11 +145,65 @@ class TestRemovedFlags:
         assert "single protocol core" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep"],
+                                         ["scenario", "run",
+                                          "lock-contention"]],
+                             ids=["run", "sweep", "scenario-run"])
+    def test_fast_forward_is_removed(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--fast-forward"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fast-forward was removed" in err
+        assert "the event-skip engine is now the only engine" in err
+        assert len(err.splitlines()) == 1
+
     def test_new_spellings_work(self, capsys):
         assert main(["run", "-n", "2", "--check-interval", "16",
                      "--num-blocks", "32"]) == 0
         err = capsys.readouterr().err
         assert "removed" not in err and "deprecated" not in err
+
+
+class TestUsageErrors:
+    # A bad configuration exits 2 with a one-line error, never a
+    # traceback.
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "-n", "0"], "num_processors"),
+        (["run", "--num-blocks", "0"], "num_blocks"),
+        (["run", "--words-per-block", "0"], "words_per_block"),
+        (["scenario", "run", "lock-contention", "-n", "0"],
+         "num_processors"),
+    ], ids=["run-processors", "run-num-blocks", "run-words-per-block",
+            "scenario-run-processors"])
+    def test_config_error_exits_2(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and message in err
+        assert "Traceback" not in err
+
+    # Numeric flags are range-checked at parse time, naming the flag.
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--jobs", "0"], "--jobs"),
+        (["sweep", "--jobs", "-1"], "--jobs"),
+        (["sweep", "--timeout", "-1"], "--timeout"),
+        (["sweep", "--processors", "0", "2"], "--processors"),
+        (["sweep", "--sample-interval", "0"], "--sample-interval"),
+        (["run", "--check-interval", "-5"], "--check-interval"),
+        (["run", "--metrics-out", "m.json", "--sample-interval", "-1"],
+         "--sample-interval"),
+    ], ids=["jobs-0", "jobs-negative", "timeout-negative", "processors-0",
+            "sweep-sample-interval-0", "check-interval-negative",
+            "run-sample-interval-negative"])
+    def test_out_of_range_flag_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err or f"/{flag}" in err
+
+    def test_check_interval_zero_still_allowed(self, capsys):
+        assert main(["run", "-n", "2", "--check-interval", "0"]) == 0
 
 
 class TestTopologyFlags:
@@ -179,9 +233,7 @@ class TestTopologyFlags:
         assert default_topology() == "clustered"
         monkeypatch.setenv(TOPOLOGY_ENV, "not-a-fabric")
         for command in (["run", "-n", "2"], ["sweep", "--processors", "2"]):
-            with pytest.raises(SystemExit) as exc:
-                main(command)
-            assert exc.value.code == 2
+            assert main(command) == 2
             err = capsys.readouterr().err
             assert TOPOLOGY_ENV in err and "not-a-fabric" in err
             assert "directory" in err
@@ -263,11 +315,10 @@ class TestResilienceFlags:
         assert out.count("66%") == 2
 
     def test_bad_fault_spec_rejected(self, capsys):
-        from repro.common.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            main(["sweep", "--processors", "2",
-                  "--inject-faults", "explode@1"])
+        assert main(["sweep", "--processors", "2",
+                     "--inject-faults", "explode@1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and "explode" in err
 
     def test_run_watchdog_flag(self, capsys):
         assert main(["run", "-n", "2", "--max-wall-seconds", "300"]) == 0
@@ -329,7 +380,7 @@ class TestCausalTracing:
 
         attr = tmp_path / "attr.json"
         spans = tmp_path / "spans.json"
-        assert main(["run", "-n", "2", "--fast-forward",
+        assert main(["run", "-n", "2",
                      "--attribution", str(attr),
                      "--spans-out", str(spans)]) == 0
         attribution = json.loads(attr.read_text())
@@ -397,8 +448,7 @@ class TestScenarioCommands:
         assert "cycles" in capsys.readouterr().out
 
     def test_run_by_library_name(self, capsys):
-        assert main(["scenario", "run", "producer-consumer", "-n", "2",
-                     "--fast-forward"]) == 0
+        assert main(["scenario", "run", "producer-consumer", "-n", "2"]) == 0
         assert "cycles" in capsys.readouterr().out
 
     def test_unknown_scenario_exits_2(self, capsys):
