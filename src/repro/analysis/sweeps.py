@@ -1,4 +1,5 @@
-"""Parameter-sweep utilities (numpy-backed).
+"""Parameter-sweep utilities (numpy-backed; numpy is imported on first
+use, so ``import repro`` and building a sweep plan do not pay for it).
 
 The figure-style benches all share a shape: vary one parameter, run a
 deterministic simulation per point (optionally over several seeds), and
@@ -30,9 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.analysis.resilient import (
     ExecutionPolicy,
@@ -42,6 +41,9 @@ from repro.analysis.resilient import (
 )
 from repro.obs.core import ObsResult
 from repro.sim.stats import SimStats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ class SweepSeries:
     values: np.ndarray
 
     def ratio_to(self, other: "SweepSeries") -> np.ndarray:
+        import numpy as np
+
         if not np.array_equal(self.xs, other.xs):
             raise ValueError("series sampled at different points")
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -75,10 +79,14 @@ class SweepSeries:
 
     @property
     def monotone_increasing(self) -> bool:
+        import numpy as np
+
         return bool(np.all(np.diff(self.values) >= 0))
 
     @property
     def monotone_decreasing(self) -> bool:
+        import numpy as np
+
         return bool(np.all(np.diff(self.values) <= 0))
 
 
@@ -158,6 +166,8 @@ class Sweep:
         self.observations = [
             r.obs if isinstance(r, ObservedPoint) else None for r in results
         ]
+        import numpy as np
+
         xs = np.asarray(list(self.xs), dtype=float)
         return {
             name: SweepSeries(
@@ -209,6 +219,8 @@ def over_seeds(
     """Run once per seed and summarize the extracted metric."""
     if not seeds:
         raise ValueError("need at least one seed")
+    import numpy as np
+
     values = np.asarray([float(extract(run(seed))) for seed in seeds])
     return SeedStatistics(
         mean=float(values.mean()),

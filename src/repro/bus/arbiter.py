@@ -57,18 +57,16 @@ class Arbiter:
         if not requests:
             return []
         high = [cid for cid, req in requests.items() if req.high_priority]
-        pool = set(high if high else requests)
-        n = len(self._ports)
-        ordered = []
-        for step in range(1, n + 1):
-            cid = self._ports[(self._last_winner_index + step) % n]
-            if cid in pool:
-                ordered.append(cid)
-                pool.discard(cid)
-        if pool:
+        pool = high if high else list(requests)
+        order = self._order
+        unknown = [cid for cid in pool if cid not in order]
+        if unknown:
             # Candidates must be registered ports.
-            raise ValueError(f"unknown requesters: {sorted(pool)}")
-        return ordered
+            raise ValueError(f"unknown requesters: {sorted(unknown)}")
+        # Distance after the last winner, walking the ports round-robin.
+        n = len(self._ports)
+        start = self._last_winner_index + 1
+        return sorted(pool, key=lambda cid: (order[cid] - start) % n)
 
     def commit(self, winner: CacheId) -> CacheId:
         """Record ``winner`` as the grant for round-robin fairness."""

@@ -10,13 +10,14 @@ and the requesting processor resumes when the bus frees.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Protocol
 
 from repro.bus.arbiter import Arbiter
 from repro.bus.signals import BusResponse, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.common.config import TimingConfig
-from repro.common.types import NEVER, CacheId, Stamp
+from repro.common.types import NEVER, BlockAddr, CacheId, Stamp
 from repro.protocols.base import Outcome
 from repro.protocols.features import ReadSourcePolicy
 from repro.sim.events import EventKind
@@ -32,7 +33,13 @@ if TYPE_CHECKING:
 
 
 class BusPort(Protocol):
-    """What the bus requires of anything attached to it (caches, I/O)."""
+    """What the bus requires of anything attached to it (caches, I/O).
+
+    A port may also offer ``connect_ready(post)`` (see
+    :meth:`repro.cache.cache.SnoopingCache.connect_ready`): it then posts
+    itself when its request head becomes live or moves, and the bus
+    scans only posted ports.  A port without it is polled on every
+    scan."""
 
     id: CacheId
 
@@ -50,6 +57,12 @@ class BusPort(Protocol):
     def snoop(self, txn: BusTransaction) -> SnoopReply: ...
 
     def finish_bus_release(self) -> None: ...
+
+
+def _post_to(ready: set[int], index: int, block: BlockAddr) -> int:
+    """A single bus owns every block: any post lands in its ready set."""
+    ready.add(index)
+    return 0
 
 
 class Bus:
@@ -80,6 +93,15 @@ class Bus:
         self._ports: dict[CacheId, BusPort] = {}
         #: Snapshot of the port list for allocation-free scans.
         self._port_list: tuple[BusPort, ...] = ()
+        #: Port id -> attachment position (the arbitration order).
+        self._position: dict[CacheId, int] = {}
+        #: Positions of ports that posted a request here.  May hold stale
+        #: entries (dropped when a scan finds no hint), never misses a
+        #: port whose request hint routes to this bus.
+        self._ready: set[int] = set()
+        #: Positions of ports that cannot post (the I/O processor),
+        #: checked on every scan.
+        self._polled: list[int] = []
         self._arbiter: Arbiter | None = None
         self._busy_until = 0
         self._active_port: BusPort | None = None
@@ -89,11 +111,23 @@ class Bus:
     # -- wiring -------------------------------------------------------------
 
     def attach(self, port: BusPort) -> None:
+        connect = getattr(port, "connect_ready", None)
+        index = self._add_port(port, polled=connect is None)
+        if connect is not None:
+            connect(functools.partial(_post_to, self._ready, index))
+
+    def _add_port(self, port: BusPort, *, polled: bool) -> int:
+        """Register ``port``; returns its attachment position."""
         if port.id in self._ports:
             raise ValueError(f"port {port.id} already attached")
+        index = len(self._port_list)
         self._ports[port.id] = port
         self._port_list = tuple(self._ports.values())
+        self._position[port.id] = index
         self._arbiter = Arbiter(list(self._ports))
+        if polled:
+            self._polled.append(index)
+        return index
 
     def port(self, cache_id: CacheId) -> BusPort:
         return self._ports[cache_id]
@@ -112,10 +146,10 @@ class Bus:
 
         While occupied the bus is inert until ``_busy_until`` (the release
         and the following arbitration happen on that cycle).  When free it
-        acts immediately if a release is owed or any port has a grantable
-        request; otherwise it stays idle until a processor posts one --
-        which requires a processor event, so the caller takes the minimum
-        with the processors' own next events.
+        acts immediately if a release is owed or any posted port has a
+        grantable request; otherwise it stays idle until a processor posts
+        one -- which requires a processor event, so the caller takes the
+        minimum with the processors' own next events.
         """
         now = self.clock.cycle
         if now < self._busy_until:
@@ -125,8 +159,14 @@ class Bus:
         # The hint may be optimistic (a request revalidation would
         # clear), which only costs a stepped cycle in which arbitration
         # finds nothing -- exactly what the stepped engine would do.
-        for port in self._port_list:
-            if port.has_request_hint():
+        ports = self._port_list
+        ready = self._ready
+        for index in ready:
+            if ports[index].has_request_hint():
+                return now
+        ready.clear()  # every post was stale
+        for index in self._polled:
+            if ports[index].has_request_hint():
                 return now
         return NEVER
 
@@ -150,14 +190,21 @@ class Bus:
 
     def _arbitrate(self) -> CacheId | None:
         assert self._arbiter is not None
-        # Hint-gated scan: a port without even a hinted request cannot
-        # have a grantable one, and revalidation (inside the real
-        # ``has_bus_request``) only ever runs when a request is posted --
-        # the same cycles it ran on before the gate.
+        # Hint-gated scan over the posted ports, in attachment order: a
+        # port without even a hinted request cannot have a grantable one,
+        # and revalidation (inside the real ``has_bus_request``) runs for
+        # exactly the ports, and in the order, a scan of every port would
+        # reach.  Posts whose hint has gone are dropped here.
+        ports = self._port_list
+        ready = self._ready
+        scan = sorted(ready.union(self._polled) if self._polled else ready)
         first: BusPort | None = None
         requests: dict[CacheId, _PriorityProbe] | None = None
-        for port in self._port_list:
-            if port.has_request_hint() and port.has_bus_request():
+        for index in scan:
+            port = ports[index]
+            if not port.has_request_hint():
+                ready.discard(index)
+            elif port.has_bus_request():
                 if first is None:
                     first = port
                 elif requests is None:

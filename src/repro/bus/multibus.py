@@ -13,6 +13,7 @@ block's bus, which is all the single-writer argument needs.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 from repro.bus.bus import Bus, BusPort
@@ -30,34 +31,42 @@ if TYPE_CHECKING:
     from repro.sim.stats import SimStats
 
 
+def _interleave(block: BlockAddr, words_per_block: int, n_buses: int) -> int:
+    """The bus owning ``block``: blocks interleave by block number."""
+    return (block // words_per_block) % n_buses
+
+
+def _post_routed(ready_sets: tuple[set[int], ...], index: int,
+                 words_per_block: int, block: BlockAddr) -> int:
+    """Route a port's post to the ready set of the bus owning ``block``;
+    returns that bus's index."""
+    bus = _interleave(block, words_per_block, len(ready_sets))
+    ready_sets[bus].add(index)
+    return bus
+
+
 class _BusPortView:
     """One cache's face toward one of the buses: offers the cache's
     current request only when this bus owns the request's block."""
 
-    def __init__(self, port: BusPort, system: "MultiBusSystem",
-                 bus_index: int) -> None:
+    def __init__(self, port: BusPort, bus_index: int) -> None:
         self._port = port
-        self._system = system
         self._bus_index = bus_index
         self.id: CacheId = port.id
+        #: A posting port records the bus its request head was routed to
+        #: when it posted (``request_bus``); ports that do not post (the
+        #: I/O processor) use bus 0.
+        self._posts = hasattr(port, "connect_ready")
+
+    def _routed_here(self) -> bool:
+        bus = self._port.request_bus if self._posts else 0
+        return bus == self._bus_index
 
     def has_bus_request(self) -> bool:
-        if not self._port.has_bus_request():
-            return False
-        block = getattr(self._port, "current_request_block", lambda: None)()
-        if block is None:
-            # Ports without routing info (e.g. the I/O processor) default
-            # to bus 0.
-            return self._bus_index == 0
-        return self._system.bus_of(block) == self._bus_index
+        return self._port.has_bus_request() and self._routed_here()
 
     def has_request_hint(self) -> bool:
-        if not self._port.has_request_hint():
-            return False
-        block = getattr(self._port, "current_request_block", lambda: None)()
-        if block is None:
-            return self._bus_index == 0
-        return self._system.bus_of(block) == self._bus_index
+        return self._port.has_request_hint() and self._routed_here()
 
     def bus_request_priority(self) -> bool:
         return self._port.bus_request_priority()
@@ -121,12 +130,21 @@ class MultiBusSystem:
             bus.scheduler = value
 
     def bus_of(self, block: BlockAddr) -> int:
-        block_number = block // self.memory.words_per_block
-        return block_number % self.n_buses
+        return _interleave(block, self.memory.words_per_block, self.n_buses)
 
     def attach(self, port: BusPort) -> None:
+        """Attach ``port`` to every bus through a routing view.  A port
+        that posts (``connect_ready``) is wired to post into the ready
+        set of the bus owning its request head's block, so routing is
+        decided once per post, not on every scan."""
+        connect = getattr(port, "connect_ready", None)
         for index, bus in enumerate(self.buses):
-            bus.attach(_BusPortView(port, self, index))
+            position = bus._add_port(_BusPortView(port, index),
+                                     polled=connect is None)
+        if connect is not None:
+            connect(functools.partial(
+                _post_routed, tuple(bus._ready for bus in self.buses),
+                position, self.memory.words_per_block))
 
     def step(self) -> bool:
         active = False

@@ -11,9 +11,10 @@ a time (the realistic choice for the mid-1980s designs reproduced here).
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.bus.signals import SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
@@ -24,7 +25,7 @@ from repro.cache.organization import CacheArray
 from repro.cache.state import CacheState
 from repro.common.config import CacheConfig, RmwMethod
 from repro.common.errors import ProgramError, ProtocolError
-from repro.common.types import NEVER, BlockAddr, CacheId, Stamp, WordAddr, block_of
+from repro.common.types import BlockAddr, CacheId, Stamp, WordAddr, block_of
 from repro.obs.core import NULL_OBS
 from repro.processor.isa import Op, OpKind
 from repro.protocols.base import Done, NeedBus, Outcome, TxnResult
@@ -33,6 +34,7 @@ from repro.sim.events import EventKind
 if TYPE_CHECKING:
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
+    from repro.processor.processor import Processor
     from repro.protocols.base import CoherenceProtocol
     from repro.sim.clock import Clock, StampClock
     from repro.sim.events import TraceLog
@@ -43,6 +45,14 @@ if TYPE_CHECKING:
 #: Shared miss reply for the snoop fast path.  The bus treats replies as
 #: read-only once returned, so one instance can serve every fast miss.
 _SNOOP_MISS = SnoopReply()
+
+
+def _no_post(block: BlockAddr) -> int:
+    return 0
+
+
+def _nobody() -> None:
+    return None
 
 
 class AccessStatus(enum.Enum):
@@ -123,6 +133,16 @@ class SnoopingCache:
         self.rmw_modify_cycles = 2
         #: Protocol scratch space (e.g. Rudolph-Segall write counters).
         self.scratch: dict = {}
+        #: ``post(block)`` enters this cache into the ready set of the bus
+        #: owning ``block`` and returns that bus's index (wired by the
+        #: fabric, see :meth:`connect_ready`).
+        self._post: Callable[[BlockAddr], int] = _no_post
+        #: The bus the request head was routed to when last posted.
+        self.request_bus = 0
+        #: The attached processor, held weakly, and its wake callback
+        #: (wired by the engine, see :meth:`connect_processor`).
+        self._processor: Callable[[], "Processor | None"] = _nobody
+        self._wake: Callable[[], None] = _nobody
 
     # -- small helpers -----------------------------------------------------
 
@@ -144,6 +164,41 @@ class SnoopingCache:
     @property
     def pending(self) -> PendingAccess | None:
         return self._pending
+
+    # -- push wiring -----------------------------------------------------------
+
+    def connect_ready(self, post: Callable[[BlockAddr], int]) -> None:
+        """Fabric wiring.  The cache calls ``post(block)`` whenever its
+        request head becomes live or moves to another block -- from
+        :meth:`access`, :meth:`queue_detached`, the unlock wake, and
+        :meth:`take_bus_transaction` popping a detached entry -- so a bus
+        scans only the caches posted to it, and keeps the returned bus
+        index as :attr:`request_bus`.  A post may be stale by the time
+        the bus looks (the bus drops it); a live head is never
+        unposted."""
+        self._post = post
+
+    def connect_processor(self, processor: "Processor",
+                          wake: Callable[[], None]) -> None:
+        """Engine wiring.  ``wake()`` tells the event loop the processor
+        can collect a completion this cycle.  The processor is held
+        weakly: caches sit in a reference cycle with their protocol, and
+        a strong edge would keep every finished processor (and its
+        program) alive until the cyclic collector runs."""
+        self._processor = weakref.ref(processor)
+        self._wake = wake
+
+    def _settle_processor(self) -> None:
+        """Settle the processor's owed cycles before the wait category
+        they are charged to (stall vs. lock wait) flips under it."""
+        processor = self._processor()
+        if processor is not None:
+            processor.settle(self.clock.cycle)
+
+    def _post_request(self) -> None:
+        block = self.current_request_block()
+        if block is not None:
+            self.request_bus = self._post(block)
 
     # -- processor interface -------------------------------------------------
 
@@ -172,6 +227,7 @@ class SnoopingCache:
         self._count_miss(op, line)
         self._pending = PendingAccess(op=op, request=action,
                                       posted_at=self.clock.cycle)
+        self._post_request()
         if self.obs.active:
             self.obs.record_request_posted(self.id, op.kind.name, block,
                                            self.clock.cycle)
@@ -298,6 +354,7 @@ class SnoopingCache:
         """Abandon a lock wait (the waiting process was switched out)."""
         if self._pending is None or not self._pending.lock_wait:
             raise ProgramError("no lock wait to cancel")
+        self._settle_processor()
         self.busy_wait.clear()
         self._pending = None
         if self.obs.active:
@@ -306,19 +363,6 @@ class SnoopingCache:
     @property
     def waiting_for_lock(self) -> bool:
         return self._pending is not None and self._pending.lock_wait
-
-    def next_event_cycle(self, now: int) -> int:
-        """Earliest cycle at which this cache can initiate activity on its
-        own: a grantable bus request (detached or pending) or a completed
-        operation the processor may collect.  A busy-wait park returns
-        :data:`~repro.common.types.NEVER` -- its wake is driven by another
-        cache's unlock broadcast, i.e. by a bus event."""
-        if self.has_bus_request():
-            return now
-        pending = self._pending
-        if pending is not None and (pending.completed or pending.ready):
-            return now
-        return NEVER
 
     # -- bus interface: requesting -------------------------------------------
 
@@ -338,7 +382,8 @@ class SnoopingCache:
         ``next_event_cycle``, the engine's ``done`` test) use this to
         avoid re-running revalidation; arbitration still goes through
         :meth:`has_bus_request`, which settles the truth before any
-        grant."""
+        grant.  Whenever it turns True, or the head's block changes, the
+        cache posts itself to the head's bus (:meth:`connect_ready`)."""
         if self._detached:
             return True
         pending = self._pending
@@ -374,6 +419,7 @@ class SnoopingCache:
             pending.completed = True
             if self.obs.active:
                 self.obs.record_request_aborted(self.id, self.now())
+            self._wake()
             return
         block = self.block_of(pending.op.addr)  # type: ignore[arg-type]
         pending.request = self.protocol.revalidate_request(need, block)
@@ -388,6 +434,8 @@ class SnoopingCache:
         """Convert the current request into a granted bus transaction."""
         if self._detached:
             need, block = self._detached.popleft()
+            # The head moved: the next request may route to another bus.
+            self._post_request()
             return self._build_txn(need, block)
         pending = self._pending
         assert pending is not None and pending.request is not None
@@ -419,6 +467,7 @@ class SnoopingCache:
         """Post a bus request not tied to the pending processor op (the
         unlock broadcast of Section E.4)."""
         self._detached.append((need, block))
+        self._post_request()
 
     # -- bus interface: completing a granted transaction ----------------------
 
@@ -483,6 +532,7 @@ class SnoopingCache:
     def _enter_lock_wait(self, txn: BusTransaction) -> None:
         pending = self._pending
         assert pending is not None
+        self._settle_processor()
         if pending.request is not None:
             pending.retry_request = pending.request
         pending.request = None
@@ -571,6 +621,7 @@ class SnoopingCache:
         pending = self._pending
         if pending is not None and pending.ready:
             pending.completed = True
+            self._wake()
 
     # -- bus interface: snooping ----------------------------------------------
 
@@ -620,6 +671,7 @@ class SnoopingCache:
             # register, decides).
             self.busy_wait.lost_arbitration()
             if self._pending is not None and self._pending.lock_wait is False:
+                self._settle_processor()
                 self._pending.request = None
                 self._pending.lock_wait = True
                 if self.obs.active:
@@ -639,9 +691,11 @@ class SnoopingCache:
         if self.busy_wait.notice_unlock(txn.block):
             pending = self._pending
             assert pending is not None and pending.retry_request is not None
+            self._settle_processor()
             pending.lock_wait = False
             pending.request = replace(pending.retry_request, high_priority=True)
             pending.posted_at = self.now()  # bus-wait measured from the wakeup
+            self._post_request()
             if self.obs.active:
                 self.obs.record_wait_wakeup(self.id, txn.block, self.now())
             if self.trace.active:

@@ -48,7 +48,9 @@ class SharerSet:
 
     The set-like aliases (``add``/``discard``/``in``/``len``/``iter``)
     exist so directory state stays scriptable from tests and seeded
-    mutations without knowing the representation.
+    mutations without knowing the representation.  ``iter`` yields
+    exactly the ids ``listed`` admits, so the home bank enumerates the
+    listed caches at the cost of the membership, not of the machine.
     """
 
     #: Stable name stamped into results and benchmark payloads.

@@ -96,10 +96,12 @@ class DirectoryFabric(Bus):
         entry = self._entry_of(txn)
         sharers = entry.sharers
         rid = requester.id
-        # Port order (not sharer-set order) keeps reply combination and
-        # read-source arbitration deterministic and bus-identical.
         ports = self._ports
-        peers = any(cid != rid and sharers.listed(cid) for cid in ports)
+        position = self._position
+        # ``listed`` holds exactly for the ids a sharer set iterates, so
+        # the listed ports are the set's members that are attached: the
+        # scans below cost the sharer count, not the machine size.
+        peers = any(cid != rid and cid in position for cid in sharers)
         row = self.table.lookup(
             home_state_of(entry), DIR_EVENT_OF[txn.op],
             guard_context_of(entry, rid, peers))
@@ -111,9 +113,14 @@ class DirectoryFabric(Bus):
             elif action == "count-request":
                 self.directory.requests += 1
             elif action == "probe-listed":
-                for cid, port in ports.items():
-                    if cid != rid and sharers.listed(cid):
-                        replies[cid] = port.snoop(txn)
+                # Port order (not sharer-set order) keeps reply
+                # combination and read-source arbitration deterministic
+                # and bus-identical.
+                listed = sorted(
+                    (cid for cid in sharers if cid != rid and cid in position),
+                    key=position.__getitem__)
+                for cid in listed:
+                    replies[cid] = ports[cid].snoop(txn)
             elif action == "probe-all":
                 for cid, port in ports.items():
                     if cid != rid:

@@ -5,22 +5,44 @@ collect), then the cycle counter.  A processor therefore sees a bus
 completion on the cycle the occupancy expires, and a request posted this
 cycle arbitrates next cycle -- a one-cycle arbitration latency.
 
-One execution engine runs a simulation, :meth:`Simulator.run`: it asks
-every component for its next *interesting* cycle (bus occupancy expiry,
-compute completion, crossbar return) and advances the clock and all
-per-cycle counters in bulk across the quiet span.  Skipped cycles are
-exactly those in which a cycle-by-cycle loop would only have incremented
-counters: the bus is inert until its occupancy expires, and a parked or
-computing processor cannot issue.  Arbitration order is therefore
-unaffected -- every cycle in which a grant, snoop, issue, retire, or wake
-could occur is still executed by the ordinary :meth:`Simulator.step`.
-:meth:`Simulator.run_stepped` keeps that cycle-by-cycle loop as the
-reference semantics the event-skip loop must reproduce bit for bit; only
-the equivalence tests and the engine benchmark call it.
+One execution engine runs a simulation, :meth:`Simulator.run`: an
+event-driven loop whose cost per event tracks the activity, not the
+machine size (``docs/timing_model.md``, "Event-skip execution").
+
+* **Bus ready sets.**  A cache posts itself into the ready set of the
+  bus its request head routes to whenever that head becomes live or
+  moves (:meth:`~repro.cache.cache.SnoopingCache.connect_ready`); each
+  bus scans only its posted ports, in attachment order, and drops stale
+  posts lazily.
+* **Due set and wake heap.**  Only processors that act (issue, retire,
+  collect) are ticked.  Compute and crossbar completions go on a
+  ``(cycle, pid)`` heap; a cache completion wakes its processor
+  (:meth:`~repro.cache.cache.SnoopingCache.connect_processor`); a
+  processor still ready after its tick is due again next cycle.
+* **Lazy accounting.**  The cycles a processor does not act on are owed
+  until it is next touched (``Processor.settle``): before its tick,
+  before its cache flips the wait category they are charged to, and at
+  run end.  ``done`` and the deadlock
+  watch's progress signature are running counters.
+
+Ready sets may hold extra entries -- an extra poll or validation is
+exact -- but never miss one: every site where a request becomes live or
+moves posts, and every completion wakes.  Between events the clock
+jumps across the quiet span, in which a cycle-by-cycle loop would only
+have incremented counters, so arbitration order is unaffected.
+
+:meth:`Simulator.run_stepped` keeps the naive cycle-by-cycle loop
+(:meth:`Simulator.step` ticks or accounts every processor every cycle
+and re-sums ``done`` and progress) as the reference the event loop must
+reproduce bit for bit; only the equivalence tests and the engine
+benchmark call it.  It shares none of the due-set bookkeeping, so those
+tests check that bookkeeping against an independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import time
 from typing import Sequence
 
@@ -28,6 +50,7 @@ from repro.bus.bus import Bus
 from repro.cache.cache import SnoopingCache
 from repro.common.config import RmwMethod, SystemConfig, WaitMode
 from repro.common.errors import ConfigError, DeadlockError, WatchdogTimeout
+from repro.common.types import NEVER
 from repro.memory.io_processor import IOProcessor
 from repro.memory.main_memory import MainMemory
 from repro.processor.processor import Processor, _State
@@ -165,6 +188,20 @@ class Simulator:
         self._watchdog_deadline: float | None = None
         self._watchdog_budget = 0.0
         self._watchdog_started = 0.0
+        # Event-loop state, rebuilt whenever run() takes over (see
+        # _take_over): processors due on the next executed cycle, the
+        # (cycle, pid) wake heap, and the running counters behind
+        # ``done`` and the progress signature.
+        self._due: set[int] = set()
+        self._wakes: list[tuple[int, int]] = []
+        self._live = 0
+        self._ops = 0
+        self._compute = 0
+        self._computing = 0
+        self._computing_since = 0
+        for processor in self.processors:
+            processor.cache.connect_processor(
+                processor, functools.partial(self._due.add, processor.pid))
 
     # -- running ----------------------------------------------------------
 
@@ -173,9 +210,13 @@ class Simulator:
         for p in self.processors:
             if p._state is not _State.DONE:
                 return False
-        # The request hint is exact once every processor is done: a
-        # pending op would keep its processor stalled, so only detached
-        # requests (which the hint reports faithfully) can remain.
+        return self._fabric_idle()
+
+    def _fabric_idle(self) -> bool:
+        """No bus occupancy or request left -- checked once every
+        processor is done.  The request hint is exact then: a pending op
+        would keep its processor stalled, so only detached requests
+        (which the hint reports faithfully) can remain."""
         if self.bus.busy or any(c.has_request_hint() for c in self.caches):
             return False
         if self.io is not None and not self.io.idle:
@@ -188,10 +229,8 @@ class Simulator:
         self._finish_cycle()
 
     def _finish_cycle(self) -> None:
-        """The processor half of :meth:`step`.  The event-skip loop
-        calls this directly on cycles where the bus is provably inert
-        (not busy, no release owed, no request hint posted), skipping the
-        no-op arbitration scan."""
+        """The processor half of :meth:`step`: every processor is ticked
+        or accounted on every cycle."""
         cycle = self.clock.cycle
         if self.scheduler is None:
             # Inlined passive-processor accounting.  A processor that
@@ -202,7 +241,7 @@ class Simulator:
             # that might act falls through to the real tick().  tick()
             # stamps _now first, but _now is only read on acting paths,
             # which always go through tick() -- the same contract
-            # advance_quiet() relies on.
+            # Processor.settle() relies on.
             for p in self.processors:
                 state = p._state
                 if state is _State.STALLED:
@@ -232,6 +271,9 @@ class Simulator:
                     p.tick(cycle)
         else:
             self._tick_scheduled(cycle)
+        self._end_cycle(cycle)
+
+    def _end_cycle(self, cycle: int) -> None:
         self.stats.cycles += 1
         self.clock.cycle = cycle + 1
         obs = self.obs
@@ -374,103 +416,196 @@ class Simulator:
         }
 
     def _run_fast(self, max_cycles: int | None) -> SimStats:
-        """The event-skip loop: equivalent to the stepped loop, but quiet
-        spans are applied in bulk instead of cycle-by-cycle."""
+        """The event loop: equivalent to the stepped loop, but only due
+        processors are ticked and quiet spans are applied in bulk."""
         horizon = self.config.deadlock_horizon
         check = self._check_interval
         stats = self.stats
         clock = self.clock
         bus = self.bus
-        processors = self.processors
-        step = self.step
-        watch = self._watch_progress
-        while not self.done:
-            now = stats.cycles
-            if max_cycles is not None and now >= max_cycles:
-                break
-            # One wall-clock check per event (each iteration may cover an
-            # arbitrarily long quiet span, so stride batching is wrong
-            # here -- a single iteration is already "many cycles").
-            if self._watchdog_deadline is not None:
-                self.check_watchdog()
-            bus_next = bus.next_event_cycle()
-            target = bus_next
-            if target > now:
-                # Inlined Processor.next_event_cycle over all processors
-                # (the scan runs once per event and dominates the loop's
-                # bookkeeping; branch-for-branch identical to the method).
-                for p in processors:
-                    state = p._state
-                    if state is _State.DONE:
-                        continue  # NEVER
-                    if state is _State.COMPUTING:
-                        t = now + p._compute_left - 1
-                    elif state is _State.STALLED:
-                        if p._crossbar_op is not None:
-                            u = p._crossbar_until
-                            t = u if u > now else now
-                        else:
-                            pend = p.cache.pending
-                            if pend is None or not pend.completed:
-                                continue  # NEVER
-                            t = now
-                    else:
-                        t = now
-                    if t < target:
-                        target = t
-            # Never jump past a cycle where the stepped engine would act:
-            # the deadlock horizon fires on simulated cycles regardless of
-            # how they were advanced, the invariant checker observes every
-            # check_interval boundary, and max_cycles is a hard stop.
-            limit = self._last_progress_cycle + horizon + 1
-            if target > limit:
-                target = limit
-            if check:
-                boundary = now + check - now % check
-                if target > boundary:
-                    target = boundary
-            if max_cycles is not None and target > max_cycles:
-                target = max_cycles
-            if target > now:
-                skip = target - now
-                stats.cycles = target
-                clock.cycle = target
-                for processor in processors:
-                    processor.advance_quiet(skip)
-                # Quiet-span fill: every interval boundary inside the
-                # span is sampled here with the (unchanged) counters the
-                # stepped engine would have seen on that cycle.
-                if self.obs.active and target >= self.obs.next_advance:
-                    self.obs.on_advance(target)
-                if check and target % check == 0:
-                    self.checker.check_all()
-                # Every signature component is monotonic, so comparing
-                # endpoints sees exactly the changes the stepped engine
-                # would have seen cycle-by-cycle.  A mid-span check can
-                # therefore only matter on the one cycle the stepped
-                # engine could raise at -- the horizon limit.
-                at_max = max_cycles is not None and target >= max_cycles
-                if target == limit or at_max:
-                    watch(horizon)
-                if at_max:
+        due = self._due
+        wakes = self._wakes
+        watch = self._watch_events
+        self._take_over()
+        try:
+            while not (self._live == 0 and self._fabric_idle()):
+                now = stats.cycles
+                if max_cycles is not None and now >= max_cycles:
                     break
-                # ``done`` can flip inside a quiet span purely by time
-                # passing (the final occupancy expiring with every
-                # processor finished); neither engine executes that
-                # release cycle.
-                if self.done:
-                    break
-            # Execute the event cycle (or the capped boundary) normally.
-            # When the bus's own next event lies beyond this cycle it is
-            # provably inert here (processors acting now post requests
-            # that arbitrate next cycle, exactly as in the stepped
-            # engine), so its step can be skipped outright.
-            if bus_next > stats.cycles:
-                self._finish_cycle()
-            else:
-                step()
-            watch(horizon)
+                # One wall-clock check per event (each iteration may cover
+                # an arbitrarily long quiet span, so stride batching is
+                # wrong here -- a single iteration is already "many
+                # cycles").
+                if self._watchdog_deadline is not None:
+                    self.check_watchdog()
+                bus_next = bus.next_event_cycle()
+                target = bus_next
+                if target > now:
+                    if due:
+                        target = now
+                    elif wakes and wakes[0][0] < target:
+                        target = wakes[0][0]
+                # Never jump past a cycle where the stepped engine would
+                # act: the deadlock horizon fires on simulated cycles
+                # regardless of how they were advanced, the invariant
+                # checker observes every check_interval boundary, and
+                # max_cycles is a hard stop.
+                limit = self._last_progress_cycle + horizon + 1
+                if target > limit:
+                    target = limit
+                if check:
+                    boundary = now + check - now % check
+                    if target > boundary:
+                        target = boundary
+                if max_cycles is not None and target > max_cycles:
+                    target = max_cycles
+                if target > now:
+                    # The skipped cycles stay owed by the processors
+                    # (settled lazily); nothing else moves in a quiet span.
+                    stats.cycles = target
+                    clock.cycle = target
+                    # Quiet-span fill: every interval boundary inside the
+                    # span is sampled here with the (unchanged) counters
+                    # the stepped engine would have seen on that cycle;
+                    # the sampler reads no per-processor bucket.
+                    if self.obs.active and target >= self.obs.next_advance:
+                        self.obs.on_advance(target)
+                    if check and target % check == 0:
+                        self.checker.check_all()
+                    # Every signature component is monotonic, so comparing
+                    # endpoints sees exactly the changes the stepped engine
+                    # would have seen cycle-by-cycle.  A mid-span check can
+                    # therefore only matter on the one cycle the stepped
+                    # engine could raise at -- the horizon limit.
+                    at_max = max_cycles is not None and target >= max_cycles
+                    if target == limit or at_max:
+                        watch(horizon)
+                    if at_max:
+                        break
+                    # ``done`` can flip inside a quiet span purely by time
+                    # passing (the final occupancy expiring with every
+                    # processor finished); neither engine executes that
+                    # release cycle.
+                    if self._live == 0 and self._fabric_idle():
+                        break
+                # Execute the event cycle (or the capped boundary).  When
+                # the bus's own next event lies beyond this cycle it is
+                # provably inert here (processors acting now post requests
+                # that arbitrate next cycle, exactly as in the stepped
+                # engine), so its step can be skipped outright.
+                cycle = stats.cycles
+                if bus_next <= cycle:
+                    bus.step()
+                self._tick_due(cycle)
+                self._end_cycle(cycle)
+                watch(horizon)
+        finally:
+            self._hand_back()
         return self._finish()
+
+    def _take_over(self) -> None:
+        """Rebuild the event loop's state.  :meth:`step` may have run
+        since the last :meth:`run`, accounting every cycle as it went, so
+        everything is derived afresh from the processors themselves."""
+        now = self.stats.cycles
+        due = self._due
+        wakes = self._wakes
+        due.clear()
+        wakes.clear()
+        live = ops = compute = computing = 0
+        for p in self.processors:
+            p._owed_from = now
+            stats = p.stats
+            ops += stats.ops_completed
+            compute += stats.compute_cycles
+            state = p._state
+            if state is not _State.DONE:
+                live += 1
+            if state is _State.COMPUTING:
+                computing += 1
+            t = p.next_event_cycle(now)
+            if t == now:
+                due.add(p.pid)
+            elif t != NEVER:
+                wakes.append((t, p.pid))
+        heapq.heapify(wakes)
+        self._live = live
+        self._ops = ops
+        self._compute = compute
+        self._computing = computing
+        self._computing_since = computing * now
+
+    def _hand_back(self) -> None:
+        """Settle every processor's owed cycles (run end, or an exception
+        leaving the loop) and return them to per-cycle accounting."""
+        now = self.stats.cycles
+        for p in self.processors:
+            p.settle(now)
+            p._owed_from = None
+
+    def _tick_due(self, cycle: int) -> None:
+        """The processor half of an event cycle: tick the due processors
+        that act now, in pid order (or the scheduler's issue order, the
+        same choice point the stepped loop offers), and schedule each
+        one's next event.  Processors not due owe this cycle's
+        accounting; a due one that turns out not to act (a duplicate
+        entry) is only settled."""
+        due = self._due
+        wakes = self._wakes
+        while wakes and wakes[0][0] <= cycle:
+            due.add(heapq.heappop(wakes)[1])
+        if not due:
+            return
+        processors = self.processors
+        touched = [processors[pid] for pid in sorted(due)]
+        due.clear()
+        # Progress counters move by each touched processor's delta; a
+        # computing processor's owed cycles leave the lazy term here and
+        # come back through the delta.
+        ops = compute = 0
+        computing = self._computing
+        since = self._computing_since
+        active = []
+        for p in touched:
+            stats = p.stats
+            ops -= stats.ops_completed
+            compute -= stats.compute_cycles
+            if p._state is _State.COMPUTING:
+                computing -= 1
+                since -= p._owed_from
+            p.settle(cycle)
+            if p.next_event_cycle(cycle) == cycle:
+                active.append(p)
+        scheduler = self.scheduler
+        after = cycle + 1
+        while active:
+            index = 0
+            if scheduler is not None and len(active) > 1:
+                index = scheduler.choose(
+                    ChoiceKind.ISSUE_ORDER,
+                    [p.pid for p in active], cycle=cycle,
+                )
+            p = active.pop(index)
+            p.tick(cycle)
+            p._owed_from = after
+            t = p.next_event_cycle(after)
+            if t == after:
+                due.add(p.pid)
+            elif t != NEVER:
+                heapq.heappush(wakes, (t, p.pid))
+            elif p._state is _State.DONE:
+                self._live -= 1
+        for p in touched:
+            stats = p.stats
+            ops += stats.ops_completed
+            compute += stats.compute_cycles
+            if p._state is _State.COMPUTING:
+                computing += 1
+                since += p._owed_from
+        self._ops += ops
+        self._compute += compute
+        self._computing = computing
+        self._computing_since = since
 
     def _finish(self) -> SimStats:
         if self._check_interval:
@@ -483,11 +618,24 @@ class Simulator:
         return self.stats
 
     def _watch_progress(self, horizon: int) -> None:
+        """The stepped loop's deadlock watch: re-sums the progress
+        signature over every processor."""
         ops = compute = 0
         for p in self.processors:
             stats = p.stats
             ops += stats.ops_completed
             compute += stats.compute_cycles
+        self._note_progress(ops, compute, horizon)
+
+    def _watch_events(self, horizon: int) -> None:
+        """The event loop's deadlock watch: the same signature from the
+        running counters.  Each computing processor owes one compute
+        cycle per cycle since it was last settled."""
+        compute = (self._compute + self._computing * self.stats.cycles
+                   - self._computing_since)
+        self._note_progress(self._ops, compute, horizon)
+
+    def _note_progress(self, ops: int, compute: int, horizon: int) -> None:
         # bus_busy_cycles moves exactly when a transaction is recorded
         # (every duration is >= 1), so it is interchangeable with the
         # transaction count as a progress signal -- and O(1) to read.
