@@ -5,13 +5,26 @@ priority bit reserved for busy-wait registers (Section E.4): after an
 unlock broadcast, waiting caches assert the bit so one of them wins the
 very next arbitration; if no waiter asserts it, arbitration proceeds
 normally "with no wasted time".
+
+The round-robin order itself is :func:`round_robin`, over port
+positions: the bus walks it lazily (see :meth:`repro.bus.bus.Bus._arbitrate`),
+and :class:`Arbiter` applies it to a dict of requests.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from bisect import bisect_right
+from typing import Iterable, Protocol
 
 from repro.common.types import CacheId
+
+
+def round_robin(positions: Iterable[int], last_winner: int) -> list[int]:
+    """``positions`` in round-robin order: the first position after
+    ``last_winner`` leads, wrapping around."""
+    order = sorted(positions)
+    cut = bisect_right(order, last_winner)
+    return order[cut:] + order[:cut]
 
 
 class ArbitrationRequest(Protocol):
@@ -63,10 +76,9 @@ class Arbiter:
         if unknown:
             # Candidates must be registered ports.
             raise ValueError(f"unknown requesters: {sorted(unknown)}")
-        # Distance after the last winner, walking the ports round-robin.
-        n = len(self._ports)
-        start = self._last_winner_index + 1
-        return sorted(pool, key=lambda cid: (order[cid] - start) % n)
+        ports = self._ports
+        return [ports[i] for i in round_robin(
+            (order[cid] for cid in pool), self._last_winner_index)]
 
     def commit(self, winner: CacheId) -> CacheId:
         """Record ``winner`` as the grant for round-robin fairness."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, Protocol
 
-from repro.bus.arbiter import Arbiter
+from repro.bus.arbiter import round_robin
 from repro.bus.signals import BusResponse, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.common.config import TimingConfig
@@ -37,9 +37,9 @@ class BusPort(Protocol):
 
     A port may also offer ``connect_ready(post)`` (see
     :meth:`repro.cache.cache.SnoopingCache.connect_ready`): it then posts
-    itself when its request head becomes live or moves, and the bus
-    scans only posted ports.  A port without it is polled on every
-    scan."""
+    itself when its request head becomes live or moves, or when the
+    head's block is touched, and the bus revalidates only posted ports.
+    A port without it is polled on every arbitration."""
 
     id: CacheId
 
@@ -59,9 +59,12 @@ class BusPort(Protocol):
     def finish_bus_release(self) -> None: ...
 
 
-def _post_to(ready: set[int], index: int, block: BlockAddr) -> int:
-    """A single bus owns every block: any post lands in its ready set."""
+def _post_to(ready: set[int], dirty: set[int], index: int,
+             block: BlockAddr) -> int:
+    """A single bus owns every block: any post lands in its ready and
+    dirty sets."""
     ready.add(index)
+    dirty.add(index)
     return 0
 
 
@@ -96,13 +99,23 @@ class Bus:
         #: Port id -> attachment position (the arbitration order).
         self._position: dict[CacheId, int] = {}
         #: Positions of ports that posted a request here.  May hold stale
-        #: entries (dropped when a scan finds no hint), never misses a
-        #: port whose request hint routes to this bus.
+        #: entries (dropped when a walk meets them), never misses a port
+        #: whose request hint routes to this bus.
         self._ready: set[int] = set()
+        #: Positions whose request must be revalidated at the next
+        #: arbitration: every post lands here too, and a port re-posts
+        #: when a snoop or its own grant touches its head's block.  Any
+        #: other ready port would revalidate to its current request.
+        self._dirty: set[int] = set()
+        #: Positions last seen with a live high-priority request; a
+        #: superset of the live ones (stale entries dropped when met).
+        self._high: set[int] = set()
         #: Positions of ports that cannot post (the I/O processor),
-        #: checked on every scan.
+        #: revalidated at every arbitration.
         self._polled: list[int] = []
-        self._arbiter: Arbiter | None = None
+        #: Position of the previous grant; the round-robin walk starts
+        #: after it.
+        self._last_winner = -1
         self._busy_until = 0
         self._active_port: BusPort | None = None
         #: Retries forced by cache-hold RMW snOop refusals.
@@ -114,7 +127,8 @@ class Bus:
         connect = getattr(port, "connect_ready", None)
         index = self._add_port(port, polled=connect is None)
         if connect is not None:
-            connect(functools.partial(_post_to, self._ready, index))
+            connect(functools.partial(_post_to, self._ready, self._dirty,
+                                      index))
 
     def _add_port(self, port: BusPort, *, polled: bool) -> int:
         """Register ``port``; returns its attachment position."""
@@ -124,7 +138,8 @@ class Bus:
         self._ports[port.id] = port
         self._port_list = tuple(self._ports.values())
         self._position[port.id] = index
-        self._arbiter = Arbiter(list(self._ports))
+        # As if the newest port won last: the walk starts at position 0.
+        self._last_winner = index
         if polled:
             self._polled.append(index)
         return index
@@ -183,59 +198,83 @@ class Bus:
         winner = self._arbitrate()
         if winner is None:
             return False
-        port = self._ports[winner]
+        port = self._port_list[winner]
         txn = port.take_bus_transaction()
         self._execute(port, txn)
         return True
 
-    def _arbitrate(self) -> CacheId | None:
-        assert self._arbiter is not None
-        # Hint-gated scan over the posted ports, in attachment order: a
-        # port without even a hinted request cannot have a grantable one,
-        # and revalidation (inside the real ``has_bus_request``) runs for
-        # exactly the ports, and in the order, a scan of every port would
-        # reach.  Posts whose hint has gone are dropped here.
+    def _arbitrate(self) -> int | None:
+        """The winning port's position, or ``None`` if nobody requests.
+
+        Work tracks changes, not the waiting queue.  First the dirty
+        pass revalidates the ports whose request may have changed, in
+        attachment order: a port outside the dirty set would revalidate
+        to the same request with no side effect, so the optimistic-RMW
+        aborts happen on the same cycle and in the same order as a
+        revalidation of every port.  Then the walk visits the high
+        priority set, or failing that the ready set, in round-robin
+        order and stops at the first live request -- or, with a
+        scheduler, collects every live one as its choice."""
         ports = self._port_list
         ready = self._ready
-        scan = sorted(ready.union(self._polled) if self._polled else ready)
-        first: BusPort | None = None
-        requests: dict[CacheId, _PriorityProbe] | None = None
-        for index in scan:
-            port = ports[index]
-            if not port.has_request_hint():
-                ready.discard(index)
-            elif port.has_bus_request():
-                if first is None:
-                    first = port
-                elif requests is None:
-                    requests = {
-                        first.id: _PriorityProbe(first.bus_request_priority()),
-                        port.id: _PriorityProbe(port.bus_request_priority()),
-                    }
-                else:
-                    requests[port.id] = _PriorityProbe(
-                        port.bus_request_priority())
-        if first is None:
-            return None
-        if requests is None:
-            # Sole requester: it wins whatever its priority class, and
-            # commit advances the round-robin pointer exactly as the
-            # general path would.
-            return self._arbiter.commit(first.id)
-        candidates = self._arbiter.ordered_candidates(requests)  # type: ignore[arg-type]
-        index = 0
-        if self.scheduler is not None and len(candidates) > 1:
+        high = self._high
+        dirty = self._dirty
+        if self._polled:
+            ready.update(self._polled)
+            dirty.update(self._polled)
+        if dirty:
+            for index in sorted(dirty):
+                port = ports[index]
+                if not port.has_bus_request():
+                    ready.discard(index)
+                    high.discard(index)
+                elif port.bus_request_priority():
+                    high.add(index)
+            dirty.clear()
+        candidates = self._walk(high, high_only=True) if high else None
+        waiter_wake = bool(candidates)
+        if not waiter_wake:
+            candidates = self._walk(ready, high_only=False) if ready else None
+            if not candidates:
+                return None
+        winner = candidates[0]
+        if len(candidates) > 1:
             from repro.sim.schedule import ChoiceKind
 
             # A multi-way arbitration among high-priority requests is the
             # post-unlock waiter wakeup of Section E.4 -- its own named
             # choice point, since lock fairness lives there.
-            kind = (ChoiceKind.WAITER_WAKE
-                    if requests[candidates[0]].high_priority
+            kind = (ChoiceKind.WAITER_WAKE if waiter_wake
                     else ChoiceKind.BUS_ARB)
-            index = self.scheduler.choose(kind, candidates,
-                                          cycle=self.clock.cycle)
-        return self._arbiter.commit(candidates[index])
+            ids = [ports[index].id for index in candidates]
+            winner = candidates[self.scheduler.choose(
+                kind, ids, cycle=self.clock.cycle)]
+        self._last_winner = winner
+        return winner
+
+    def _walk(self, pool: set[int], *, high_only: bool) -> list[int]:
+        """The live requests in ``pool`` (high-priority ones only, if
+        ``high_only``) in round-robin order: just the first, unless a
+        scheduler chooses among them all.  Stale entries met are dropped
+        from the ready and high sets, live normal-priority ones from the
+        high set."""
+        ports = self._port_list
+        ready = self._ready
+        high = self._high
+        collect = self.scheduler is not None
+        found: list[int] = []
+        for index in round_robin(pool, self._last_winner):
+            port = ports[index]
+            if not port.has_bus_request():
+                ready.discard(index)
+                high.discard(index)
+            elif high_only and not port.bus_request_priority():
+                high.discard(index)
+            else:
+                found.append(index)
+                if not collect:
+                    break
+        return found
 
     # -- transaction execution --------------------------------------------------
 
@@ -449,11 +488,3 @@ class Bus:
                 self.obs.record_unlock_broadcast(
                     txn.block, spurious=not response.shared_hit)
 
-
-class _PriorityProbe:
-    """Minimal arbiter-request adapter (only priority is consulted)."""
-
-    __slots__ = ("high_priority",)
-
-    def __init__(self, high_priority: bool) -> None:
-        self.high_priority = high_priority

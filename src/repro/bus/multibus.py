@@ -36,12 +36,14 @@ def _interleave(block: BlockAddr, words_per_block: int, n_buses: int) -> int:
     return (block // words_per_block) % n_buses
 
 
-def _post_routed(ready_sets: tuple[set[int], ...], index: int,
+def _post_routed(sets: tuple[tuple[set[int], set[int]], ...], index: int,
                  words_per_block: int, block: BlockAddr) -> int:
-    """Route a port's post to the ready set of the bus owning ``block``;
-    returns that bus's index."""
-    bus = _interleave(block, words_per_block, len(ready_sets))
-    ready_sets[bus].add(index)
+    """Route a port's post to the ready and dirty sets of the bus owning
+    ``block``; returns that bus's index."""
+    bus = _interleave(block, words_per_block, len(sets))
+    ready, dirty = sets[bus]
+    ready.add(index)
+    dirty.add(index)
     return bus
 
 
@@ -63,7 +65,8 @@ class _BusPortView:
         return bus == self._bus_index
 
     def has_bus_request(self) -> bool:
-        return self._port.has_bus_request() and self._routed_here()
+        # Routing first: only the bus a request is routed to revalidates it.
+        return self._routed_here() and self._port.has_bus_request()
 
     def has_request_hint(self) -> bool:
         return self._port.has_request_hint() and self._routed_here()
@@ -143,7 +146,8 @@ class MultiBusSystem:
                                      polled=connect is None)
         if connect is not None:
             connect(functools.partial(
-                _post_routed, tuple(bus._ready for bus in self.buses),
+                _post_routed,
+                tuple((bus._ready, bus._dirty) for bus in self.buses),
                 position, self.memory.words_per_block))
 
     def step(self) -> bool:

@@ -137,8 +137,17 @@ class SnoopingCache:
         #: owning ``block`` and returns that bus's index (wired by the
         #: fabric, see :meth:`connect_ready`).
         self._post: Callable[[BlockAddr], int] = _no_post
-        #: The bus the request head was routed to when last posted.
+        #: The bus the request head was routed to when last posted, and
+        #: the head's block then (``None`` if there was no head): a snoop
+        #: or grant on that block re-posts.
         self.request_bus = 0
+        self.request_block: BlockAddr | None = None
+        #: The request the last revalidation returned: while it is still
+        #: the pending request, revalidating again would return it
+        #: unchanged, so :meth:`has_bus_request` skips that.  Cleared on
+        #: every post, which a snoop or grant touching the head's block
+        #: also makes (the tags revalidation reads may have moved).
+        self._revalidated: NeedBus | None = None
         #: The attached processor, held weakly, and its wake callback
         #: (wired by the engine, see :meth:`connect_processor`).
         self._processor: Callable[[], "Processor | None"] = _nobody
@@ -171,11 +180,13 @@ class SnoopingCache:
         """Fabric wiring.  The cache calls ``post(block)`` whenever its
         request head becomes live or moves to another block -- from
         :meth:`access`, :meth:`queue_detached`, the unlock wake, and
-        :meth:`take_bus_transaction` popping a detached entry -- so a bus
-        scans only the caches posted to it, and keeps the returned bus
-        index as :attr:`request_bus`.  A post may be stale by the time
-        the bus looks (the bus drops it); a live head is never
-        unposted."""
+        :meth:`take_bus_transaction` popping a detached entry -- and
+        whenever a full-path snoop or its own grant touches the head's
+        block, so a bus arbitrates only among the caches posted to it
+        and revalidates only those posted since its last arbitration.
+        The cache keeps the returned bus index as :attr:`request_bus`.
+        A post may be stale by the time the bus looks (the bus drops
+        it); a live head is never unposted."""
         self._post = post
 
     def connect_processor(self, processor: "Processor",
@@ -196,7 +207,8 @@ class SnoopingCache:
             processor.settle(self.clock.cycle)
 
     def _post_request(self) -> None:
-        block = self.current_request_block()
+        self._revalidated = None
+        block = self.request_block = self.current_request_block()
         if block is not None:
             self.request_bus = self._post(block)
 
@@ -372,7 +384,8 @@ class SnoopingCache:
         pending = self._pending
         if pending is None or pending.request is None:
             return False
-        self._revalidate_pending(pending)
+        if pending.request is not self._revalidated:
+            self._revalidate_pending(pending)
         return pending.request is not None
 
     def has_request_hint(self) -> bool:
@@ -423,6 +436,7 @@ class SnoopingCache:
             return
         block = self.block_of(pending.op.addr)  # type: ignore[arg-type]
         pending.request = self.protocol.revalidate_request(need, block)
+        self._revalidated = pending.request
 
     def bus_request_priority(self) -> bool:
         if self._detached:
@@ -475,6 +489,16 @@ class SnoopingCache:
         self, txn: BusTransaction, response, data: list[Stamp] | None
     ) -> CompletionInfo:
         """Called by the bus at grant time, after snoop aggregation."""
+        info = self._complete_grant(txn, response, data)
+        if txn.block == self.request_block:
+            # The grant installed, replaced or consumed the head's
+            # request: re-post it, so the bus revalidates or drops it.
+            self._post_request()
+        return info
+
+    def _complete_grant(
+        self, txn: BusTransaction, response, data: list[Stamp] | None
+    ) -> CompletionInfo:
         assert self.protocol is not None
         self._install_effects = _InstallEffects()
 
@@ -676,6 +700,13 @@ class SnoopingCache:
                 self._pending.lock_wait = True
                 if self.obs.active:
                     self.obs.record_wait_rearmed(self.id, self.now())
+
+        pending = self._pending
+        if (txn.block == self.request_block and pending is not None
+                and pending.request is not None):
+            # This snoop may take or restore the copy the queued request
+            # was revalidated against.
+            self._post_request()
 
         if self._held_block is not None and self._held_block == txn.block:
             return SnoopReply(retry=True)

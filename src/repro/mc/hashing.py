@@ -137,11 +137,10 @@ def _bus_sig(bus, now: int) -> tuple:
     buses = bus.buses if hasattr(bus, "buses") else [bus]
     sig = []
     for one in buses:
-        arbiter = one._arbiter
         sig.append((
             max(0, one._busy_until - now),
             one._active_port.id if one._active_port is not None else None,
-            arbiter._last_winner_index if arbiter is not None else None,
+            one._last_winner,
         ))
     return tuple(sig)
 

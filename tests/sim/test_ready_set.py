@@ -1,8 +1,10 @@
 """The event loop's ready sets, checked directly.
 
 The event loop acts only on what was pushed to it: bus ready sets hold
-the ports that posted a request, and the due set plus the wake heap hold
-the processors that can act.  Both may over-approximate but must never
+the ports that posted a request, dirty sets the ports whose request must
+be revalidated at the next arbitration, high-priority sets the ports
+with a live priority request, and the due set plus the wake heap hold
+the processors that can act.  All may over-approximate but must never
 miss an entry; the equivalence tests only see a miss when it changes a
 statistic, so these tests compare the pushed state against a full scan
 after every bus step.  They also pin the point of the design -- work per
@@ -20,6 +22,7 @@ import pytest
 
 from repro import CacheConfig, SystemConfig
 from repro.bus.multibus import MultiBusSystem, _BusPortView
+from repro.cache.cache import SnoopingCache
 from repro.common.config import TopologyConfig
 from repro.common.errors import DeadlockError
 from repro.processor.processor import Processor, _State
@@ -42,10 +45,11 @@ TOPOLOGIES = {
 }
 
 
-def _config(topology: TopologyConfig, n: int, **kwargs) -> SystemConfig:
+def _config(topology: TopologyConfig, n: int,
+            protocol: str = "bitar-despain", **kwargs) -> SystemConfig:
     return SystemConfig(
         num_processors=n,
-        protocol="bitar-despain",
+        protocol=protocol,
         cache=CacheConfig(words_per_block=4, num_blocks=16),
         topology=topology,
         **kwargs,
@@ -59,6 +63,11 @@ def _programs(config: SystemConfig) -> list:
     stream = scale_probe(config, total_references=48 * len(locks))
     return [dataclasses.replace(lock, ops=lock.ops + more.ops)
             for lock, more in zip(locks, stream)]
+
+
+def _stream_programs(config: SystemConfig) -> list:
+    """The sharing stream alone (for protocols without lock states)."""
+    return scale_probe(config, total_references=48 * config.num_processors)
 
 
 def _buses(sim: Simulator) -> list:
@@ -87,18 +96,66 @@ def _routes_to(sim: Simulator, port, bus_index: int) -> bool:
     return sim.bus.bus_of(block) == bus_index
 
 
-def _check_complete(sim: Simulator) -> int:
-    """Full scan: nothing live is missing from a ready set.  Returns the
-    number of facts checked."""
+def _presence(cache) -> bool:
+    """Whether ``cache`` holds a valid line for its pending op's block --
+    the tag fact a revalidation reads."""
+    return cache.line_for(cache.block_of(cache.pending.op.addr)) is not None
+
+
+def _record_revalidations(sim: Simulator) -> dict:
+    """Wrap every cache's revalidation to record, per cache id, the
+    request it settled on and the tag presence it read."""
+    seen: dict = {}
+    for cache in sim.caches:
+        revalidate = cache._revalidate_pending
+
+        def recording(pending, cache=cache, revalidate=revalidate):
+            revalidate(pending)
+            seen[cache.id] = (pending.request, _presence(cache))
+
+        cache._revalidate_pending = recording
+    return seen
+
+
+def _needs_revalidation(cache, seen: dict) -> bool:
+    """The cache's queued request, or the tags it was revalidated
+    against, changed since its last revalidation."""
+    request, presence = seen.get(cache.id, (None, None))
+    return (request is not cache.pending.request
+            or presence != _presence(cache))
+
+
+def _check_complete(sim: Simulator, seen: dict) -> int:
+    """Full scan: nothing live is missing from a ready set, no request
+    whose request or head-block tags changed since its last revalidation
+    is missing from its bus's dirty set, and no live high-priority
+    request is missing from the high set.  Returns the number of facts
+    checked."""
     checked = 0
     for bus in _buses(sim):
         for position, port in enumerate(bus._port_list):
             assert port.has_request_hint() == _routes_to(sim, port, bus.index)
-            if port.has_request_hint():
+            if not port.has_request_hint():
+                continue
+            checked += 1
+            assert position in bus._ready or position in bus._polled, (
+                f"bus {bus.index}: port {port.id} has a request routed "
+                f"here but is not in the ready set")
+            cache = getattr(port, "_port", port)
+            if position in bus._dirty or position in bus._polled:
+                continue
+            assert cache.request_block == cache.current_request_block()
+            if not cache._detached:
                 checked += 1
-                assert position in bus._ready or position in bus._polled, (
-                    f"bus {bus.index}: port {port.id} has a request routed "
-                    f"here but is not in the ready set")
+                assert not _needs_revalidation(cache, seen), (
+                    f"bus {bus.index}: port {port.id}'s request or tags "
+                    f"changed since its last revalidation, but it is not "
+                    f"in the dirty set")
+            if port.bus_request_priority():
+                checked += 1
+                assert position in bus._high, (
+                    f"bus {bus.index}: port {port.id} has a live priority "
+                    f"request but is not in the high set")
     now = sim.clock.cycle
     due_on_heap = {pid for cycle, pid in sim._wakes if cycle <= now}
     for p in sim.processors:
@@ -110,14 +167,15 @@ def _check_complete(sim: Simulator) -> int:
     return checked
 
 
-def _run_checked(config: SystemConfig, scheduler=None):
-    sim = Simulator(config, _programs(config), scheduler=scheduler)
+def _run_checked(config: SystemConfig, scheduler=None, programs=_programs):
+    sim = Simulator(config, programs(config), scheduler=scheduler)
+    seen = _record_revalidations(sim)
     bus_step = sim.bus.step
     checked = []
 
     def step():
         active = bus_step()
-        checked.append(_check_complete(sim))
+        checked.append(_check_complete(sim, seen))
         return active
 
     sim.bus.step = step
@@ -140,6 +198,18 @@ class TestReadySetCompleteness:
         reference = Simulator(
             config, _programs(config),
             scheduler=RandomScheduler(5) if seeded else None).run_stepped()
+        assert stats.to_payload() == reference.to_payload()
+
+    @pytest.mark.parametrize("protocol", ["goodman", "dragon"])
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_multi_phase_request_is_revalidated(self, name, protocol):
+        """Goodman's write-once miss and Dragon's write miss take a
+        second bus phase: the grant that replaces the queued request
+        must leave it in the dirty set."""
+        config = _config(TOPOLOGIES[name], n=6, protocol=protocol)
+        sim, stats, checked = _run_checked(config, programs=_stream_programs)
+        assert sim.done and checked > 0
+        reference = Simulator(config, _stream_programs(config)).run_stepped()
         assert stats.to_payload() == reference.to_payload()
 
     def test_stepping_then_running_rebuilds_the_due_set(self):
@@ -193,31 +263,41 @@ class TestLazySettlement:
 class _Counts:
     """Calls made to the methods the loop spends its per-event work on:
     port polls by the buses (split by whether the port had a request
-    routed to the polling bus) and processor bookkeeping."""
+    routed to the polling bus), request revalidations, and processor
+    bookkeeping."""
 
     BOOKKEEPING = ("tick", "settle", "next_event_cycle")
 
     def __init__(self, patch) -> None:
         self.live_polls = self.idle_polls = self.bookkeeping = 0
+        self.revalidations = 0
         self.events = 0
         counts = self
         hint = _BusPortView.has_request_hint
         request = _BusPortView.has_bus_request
+        revalidate = SnoopingCache._revalidate_pending
 
-        def has_request_hint(view):
-            found = hint(view)
-            if found:
+        def tally(view) -> None:
+            if view._port.has_request_hint() and view._routed_here():
                 counts.live_polls += 1
             else:
                 counts.idle_polls += 1
-            return found
+
+        def has_request_hint(view):
+            tally(view)
+            return hint(view)
 
         def has_bus_request(view):
-            counts.live_polls += 1
+            tally(view)
             return request(view)
+
+        def revalidate_pending(cache, pending):
+            counts.revalidations += 1
+            return revalidate(cache, pending)
 
         patch.setattr(_BusPortView, "has_request_hint", has_request_hint)
         patch.setattr(_BusPortView, "has_bus_request", has_bus_request)
+        patch.setattr(SnoopingCache, "_revalidate_pending", revalidate_pending)
         for name in self.BOOKKEEPING:
             original = getattr(Processor, name)
             patch.setattr(Processor, name, self._counted(original))
@@ -234,6 +314,7 @@ class _Counts:
     def per_event(self) -> dict[str, float]:
         return {"live_polls": self.live_polls / self.events,
                 "idle_polls": self.idle_polls / self.events,
+                "revalidations": self.revalidations / self.events,
                 "bookkeeping": self.bookkeeping / self.events}
 
 
@@ -279,10 +360,16 @@ class TestWorkPerEventIsFlat:
                            _stream(_directory(128)))
         assert large["bookkeeping"] < 1.5 * small["bookkeeping"], (small, large)
         # Polls of ports with nothing routed to the polling bus: the
-        # O(N) scan the ready sets replace.  Polls of live requesters are
-        # the arbitration itself; scale-probe saturates the banks, so
-        # their number follows the waiting queue, which grows with N.
+        # O(N) scan the ready sets replace.
         assert large["idle_polls"] < 1.5 * small["idle_polls"], (small, large)
+        # Polls of live requesters and revalidations are the arbitration
+        # itself.  Scale-probe saturates the banks, so the waiting queue
+        # grows with N; arbitration revalidates only the requests that
+        # changed and stops at the round-robin winner, so neither count
+        # follows the queue.
+        assert large["live_polls"] < 1.5 * small["live_polls"], (small, large)
+        assert large["revalidations"] < 1.5 * small["revalidations"], (
+            small, large)
 
     def test_idle_ports_cost_nothing(self, monkeypatch):
         """The same 32 active processors on a 32- and a 128-port
