@@ -11,7 +11,7 @@ and the requesting processor resumes when the bus frees.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Collection, Iterable, Protocol
 
 from repro.bus.arbiter import round_robin
 from repro.bus.signals import BusResponse, SnoopReply
@@ -25,6 +25,7 @@ from repro.sim.events import EventKind
 from repro.obs.core import NULL_OBS
 
 if TYPE_CHECKING:
+    from repro.cache.cache import SnoopingCache
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.sim.clock import Clock
@@ -39,7 +40,14 @@ class BusPort(Protocol):
     :meth:`repro.cache.cache.SnoopingCache.connect_ready`): it then posts
     itself when its request head becomes live or moves, or when the
     head's block is touched, and the bus revalidates only posted ports.
-    A port without it is polled on every arbitration."""
+    A port without it is polled on every arbitration.
+
+    Likewise ``connect_interest(push, ledger, domain)`` (see
+    :meth:`repro.cache.cache.SnoopingCache.connect_interest`): the port
+    then pushes every change of the blocks it ``cares_about``, and a
+    broadcast is delivered only to the ports indexed under its block,
+    with the ``ledger`` accounting for the snoops the others skip.  A
+    port without it snoops every broadcast."""
 
     id: CacheId
 
@@ -66,6 +74,93 @@ def _post_to(ready: set[int], dirty: set[int], index: int,
     ready.add(index)
     dirty.add(index)
     return 0
+
+
+def _index_to(interest: dict[BlockAddr, set[int]], index: int,
+              block: BlockAddr, cares: bool) -> None:
+    """Enter (``cares``) or remove position ``index`` under ``block`` in
+    a bus's interest index."""
+    positions = interest.get(block)
+    if cares:
+        if positions is None:
+            interest[block] = {index}
+        else:
+            positions.add(index)
+    elif positions is not None:
+        positions.discard(index)
+        if not positions:
+            del interest[block]
+
+
+#: Delivery domains of a bus without clusters: everything is domain 0.
+WHOLE_FABRIC = (0,)
+
+_NOBODY: frozenset[int] = frozenset()
+
+
+class SnoopLedger:
+    """The snoops a fabric's indexed delivery skips, accounted in bulk.
+
+    A broadcast reaches only the caches indexed under its block; every
+    other cache would have answered a fast miss whose one side effect
+    is :meth:`~repro.cache.directory.DirectoryModel.record_snoop`.  The
+    ledger rebuilds that effect exactly without visiting them:
+
+    * ``seen[d]`` counts the transactions broadcast into delivery domain
+      ``d`` (a cluster; the whole fabric otherwise), so a directory
+      model's snoop count is ``seen`` minus its cache's own grants;
+    * it keeps this cycle's grants and the caches that wrote status
+      this cycle, so a status write and a snoop on the same cycle charge
+      an interference cycle in either order: a writer learns at its
+      write that another cache's grant already reached its domain, and
+      each later grant gives every enrolled writer it skipped one
+      eager ``record_snoop``.
+
+    One ledger serves every bus of a fabric: a grant on any bus is a
+    snoop for every cache in its domains."""
+
+    def __init__(self, domains: int = 1) -> None:
+        self.seen = [0] * domains
+        self._cycle = -1
+        #: (requester id, domains reached) of this cycle's grants.
+        self._grants: list[tuple[CacheId, Collection[int]]] = []
+        #: Caches that wrote status this cycle (interfering kinds only).
+        self._writers: list["SnoopingCache"] = []
+
+    def _roll(self, now: int) -> None:
+        """Start cycle ``now``: forget the previous cycle's grants and
+        writers."""
+        self._cycle = now
+        self._grants.clear()
+        self._writers.clear()
+
+    def grant(self, now: int, requester: CacheId, domains: Collection[int],
+              replies: dict[CacheId, SnoopReply]) -> None:
+        """A transaction by ``requester`` was broadcast into ``domains``
+        and delivered to the ports in ``replies``."""
+        if now != self._cycle:
+            self._roll(now)
+        seen = self.seen
+        for domain in domains:
+            seen[domain] += 1
+        self._grants.append((requester, domains))
+        for cache in self._writers:
+            if (cache.id != requester and cache.id not in replies
+                    and cache.snoop_domain in domains):
+                cache.directory.record_snoop(now)
+
+    def status_write(self, cache: "SnoopingCache", now: int) -> None:
+        """``cache`` is about to record a status write at ``now``."""
+        if now != self._cycle:
+            self._roll(now)
+        me = cache.id
+        domain = cache.snoop_domain
+        for requester, domains in self._grants:
+            if requester != me and domain in domains:
+                cache.directory.note_snoop(now)
+                break
+        if cache not in self._writers:
+            self._writers.append(cache)
 
 
 class Bus:
@@ -113,6 +208,16 @@ class Bus:
         #: Positions of ports that cannot post (the I/O processor),
         #: revalidated at every arbitration.
         self._polled: list[int] = []
+        #: Interest index: block -> positions of the ports that care
+        #: about it (pushed by the ports, see ``connect_interest``).
+        self._interest: dict[BlockAddr, set[int]] = {}
+        #: Positions of ports that cannot push interest (the I/O
+        #: processor): they snoop every broadcast.
+        self._unindexed: list[int] = []
+        #: Position -> delivery domain (cluster) of the port there.
+        self._domain: list[int] = []
+        #: Bulk accounting of skipped snoops (shared by a fabric's buses).
+        self.ledger = SnoopLedger()
         #: Position of the previous grant; the round-robin walk starts
         #: after it.
         self._last_winner = -1
@@ -125,12 +230,18 @@ class Bus:
 
     def attach(self, port: BusPort) -> None:
         connect = getattr(port, "connect_ready", None)
-        index = self._add_port(port, polled=connect is None)
+        interest = getattr(port, "connect_interest", None)
+        index = self._add_port(port, polled=connect is None,
+                               indexed=interest is not None)
         if connect is not None:
             connect(functools.partial(_post_to, self._ready, self._dirty,
                                       index))
+        if interest is not None:
+            interest(functools.partial(_index_to, self._interest, index),
+                     self.ledger, 0)
 
-    def _add_port(self, port: BusPort, *, polled: bool) -> int:
+    def _add_port(self, port: BusPort, *, polled: bool, indexed: bool,
+                  domain: int = 0) -> int:
         """Register ``port``; returns its attachment position."""
         if port.id in self._ports:
             raise ValueError(f"port {port.id} already attached")
@@ -138,10 +249,13 @@ class Bus:
         self._ports[port.id] = port
         self._port_list = tuple(self._ports.values())
         self._position[port.id] = index
+        self._domain.append(domain)
         # As if the newest port won last: the walk starts at position 0.
         self._last_winner = index
         if polled:
             self._polled.append(index)
+        if not indexed:
+            self._unindexed.append(index)
         return index
 
     def port(self, cache_id: CacheId) -> BusPort:
@@ -324,11 +438,45 @@ class Bus:
     def _snoop_all(
         self, requester: BusPort, txn: BusTransaction
     ) -> dict[CacheId, SnoopReply]:
+        return self._deliver(requester, txn, WHOLE_FABRIC)
+
+    def _deliver(
+        self, requester: BusPort, txn: BusTransaction,
+        domains: Collection[int],
+    ) -> dict[CacheId, SnoopReply]:
+        """Snoop ``txn`` at the ports indexed under its block and the
+        unindexed ones, in position order (``combine`` keeps the last
+        supplier it meets), skipping the requester and, unless
+        ``domains`` is :data:`WHOLE_FABRIC`, ports outside ``domains``.
+        Every other port would have answered a fast miss; the ledger
+        accounts for their snoops."""
+        rid = requester.id
+        ports = self._port_list
+        indexed = self._interest.get(txn.block, _NOBODY)
+        unindexed = self._unindexed
+        dense = len(indexed) + len(unindexed) == len(ports)
+        whole = domains is WHOLE_FABRIC
         replies: dict[CacheId, SnoopReply] = {}
-        for cid, port in self._ports.items():
-            if cid == requester.id:
-                continue
-            replies[cid] = port.snoop(txn)
+        if dense and whole:
+            # Every port may care (a lock every cache tags): no sort.
+            for cid, port in self._ports.items():
+                if cid != rid:
+                    replies[cid] = port.snoop(txn)
+        else:
+            order: Iterable[int]
+            if dense:
+                order = range(len(ports))
+            elif unindexed:
+                order = sorted(indexed.union(unindexed))
+            else:
+                order = sorted(indexed)
+            domain_of = self._domain
+            for index in order:
+                port = ports[index]
+                cid = port.id
+                if cid != rid and (whole or domain_of[index] in domains):
+                    replies[cid] = port.snoop(txn)
+        self.ledger.grant(self.clock.cycle, rid, domains, replies)
         return replies
 
     def _absorb_flushes(

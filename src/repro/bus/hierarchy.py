@@ -63,6 +63,8 @@ class ClusteredBusSystem(MultiBusSystem):
         self._interested: dict[int, set[int]] = {}
         #: Snoop deliveries suppressed by the interest filter.
         self.filtered_snoops = 0
+        #: Ports attached per cluster.
+        self._cluster_ports = [0] * self.clusters
         #: Messages carried by the inter-cluster link (requests,
         #: responses, and remote snoop broadcasts).
         self.link_messages = 0
@@ -73,6 +75,16 @@ class ClusteredBusSystem(MultiBusSystem):
 
     def _make_bus(self, index: int) -> Bus:
         return ClusterBus(self, index)
+
+    def _domains(self) -> int:
+        return self.clusters
+
+    def _domain_of(self, port: BusPort) -> int:
+        return self.cluster_of_port(port.id)
+
+    def attach(self, port: BusPort) -> None:
+        self._cluster_ports[self.cluster_of_port(port.id)] += 1
+        super().attach(port)
 
     def cluster_of_port(self, cache_id: CacheId) -> int:
         """Processor caches are distributed round-robin over clusters;
@@ -88,7 +100,8 @@ class ClusteredBusSystem(MultiBusSystem):
 
 class ClusterBus(Bus):
     """One snooping bus inside a cluster; snoops are delivered only to
-    clusters enrolled in the block's interest set."""
+    clusters enrolled in the block's interest set (and, within them,
+    only to the caches indexed under the block)."""
 
     def __init__(self, system: ClusteredBusSystem, index: int) -> None:
         super().__init__(system.memory, system.timing, system.clock,
@@ -105,15 +118,12 @@ class ClusterBus(Bus):
         interested.add(system.cluster_of_port(requester.id))
         home = system.home_cluster(self.index)
         system.link_messages += sum(1 for c in interested if c != home)
-        replies: dict[CacheId, SnoopReply] = {}
-        for cid, port in self._ports.items():
-            if cid == requester.id:
-                continue
-            if system.cluster_of_port(cid) not in interested:
-                system.filtered_snoops += 1
-                continue
-            replies[cid] = port.snoop(txn)
-        return replies
+        # Every port outside the interested clusters is filtered (the
+        # requester's cluster is always interested).
+        ports = system._cluster_ports
+        system.filtered_snoops += len(self._port_list) - sum(
+            ports[c] for c in interested)
+        return self._deliver(requester, txn, interested)
 
     def _duration(self, txn, response, replies, info) -> int:
         cycles = super()._duration(txn, response, replies, info)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING
 
-from repro.bus.bus import Bus, BusPort
+from repro.bus.bus import Bus, BusPort, SnoopLedger, _index_to
 from repro.bus.signals import SnoopReply
 from repro.bus.transaction import BusTransaction
 from repro.common.config import TimingConfig
@@ -45,6 +45,15 @@ def _post_routed(sets: tuple[tuple[set[int], set[int]], ...], index: int,
     ready.add(index)
     dirty.add(index)
     return bus
+
+
+def _index_routed(indexes: tuple[dict[BlockAddr, set[int]], ...],
+                  index: int, words_per_block: int, block: BlockAddr,
+                  cares: bool) -> None:
+    """Route a port's interest push to the index of the bus owning
+    ``block`` -- the only bus that broadcasts transactions on it."""
+    bus = _interleave(block, words_per_block, len(indexes))
+    _index_to(indexes[bus], index, block, cares)
 
 
 class _BusPortView:
@@ -116,6 +125,19 @@ class MultiBusSystem:
         self.trace = trace
         self.obs = obs
         self.buses = [self._make_bus(i) for i in range(n_buses)]
+        #: One ledger for every bus: a grant on any bus is a snoop for
+        #: every cache (in its delivery domain).
+        self.ledger = SnoopLedger(self._domains())
+        for bus in self.buses:
+            bus.ledger = self.ledger
+
+    def _domains(self) -> int:
+        """Number of snoop delivery domains (clusters)."""
+        return 1
+
+    def _domain_of(self, port: BusPort) -> int:
+        """The delivery domain ``port`` belongs to."""
+        return 0
 
     def _make_bus(self, index: int) -> Bus:
         """Factory for one serialization domain; subclasses (clustered,
@@ -135,20 +157,37 @@ class MultiBusSystem:
     def bus_of(self, block: BlockAddr) -> int:
         return _interleave(block, self.memory.words_per_block, self.n_buses)
 
+    #: Whether ports push interest to the buses' indexes (the
+    #: directory fabric delivers by sharer set instead).
+    indexed = True
+
     def attach(self, port: BusPort) -> None:
         """Attach ``port`` to every bus through a routing view.  A port
         that posts (``connect_ready``) is wired to post into the ready
         set of the bus owning its request head's block, so routing is
-        decided once per post, not on every scan."""
+        decided once per post, not on every scan; a port that pushes
+        interest (``connect_interest``) likewise pushes into the index
+        of the bus owning each block."""
         connect = getattr(port, "connect_ready", None)
+        interest = (getattr(port, "connect_interest", None)
+                    if self.indexed else None)
+        domain = self._domain_of(port)
         for index, bus in enumerate(self.buses):
             position = bus._add_port(_BusPortView(port, index),
-                                     polled=connect is None)
+                                     polled=connect is None,
+                                     indexed=interest is not None,
+                                     domain=domain)
+        wpb = self.memory.words_per_block
         if connect is not None:
             connect(functools.partial(
                 _post_routed,
                 tuple((bus._ready, bus._dirty) for bus in self.buses),
-                position, self.memory.words_per_block))
+                position, wpb))
+        if interest is not None:
+            interest(functools.partial(
+                _index_routed,
+                tuple(bus._interest for bus in self.buses), position, wpb),
+                self.ledger, domain)
 
     def step(self) -> bool:
         active = False

@@ -32,6 +32,7 @@ from repro.protocols.base import Done, NeedBus, Outcome, TxnResult
 from repro.sim.events import EventKind
 
 if TYPE_CHECKING:
+    from repro.bus.bus import SnoopLedger
     from repro.memory.main_memory import MainMemory
     from repro.obs.core import Observability
     from repro.processor.processor import Processor
@@ -49,6 +50,10 @@ _SNOOP_MISS = SnoopReply()
 
 def _no_post(block: BlockAddr) -> int:
     return 0
+
+
+def _no_interest(block: BlockAddr, cares: bool) -> None:
+    return None
 
 
 def _nobody() -> None:
@@ -75,6 +80,9 @@ class PendingAccess:
     #: The request that was refused because the block was locked; re-posted
     #: at high priority when the unlock broadcast arrives (Figure 9).
     retry_request: NeedBus | None = None
+    #: The high-priority copy of ``retry_request`` that each wakeup of
+    #: this wait re-posts (built at the first one).
+    wake_request: NeedBus | None = None
     #: Logical effects applied at grant; the processor may collect the
     #: result once the bus occupancy expires (``completed``).
     ready: bool = False
@@ -152,6 +160,15 @@ class SnoopingCache:
         #: (wired by the engine, see :meth:`connect_processor`).
         self._processor: Callable[[], "Processor | None"] = _nobody
         self._wake: Callable[[], None] = _nobody
+        #: ``interest(block, cares)`` enters this cache into, or removes
+        #: it from, the interest index of the bus owning ``block``; the
+        #: ledger accounts for the snoops it is then spared, and
+        #: ``snoop_domain`` is its delivery domain there (wired by the
+        #: fabric, see :meth:`connect_interest`).
+        self._interest: Callable[[BlockAddr, bool], None] = _no_interest
+        self._ledger: "SnoopLedger | None" = None
+        self.snoop_domain = 0
+        self.array.on_tags = self._tags_changed
 
     # -- small helpers -----------------------------------------------------
 
@@ -188,6 +205,36 @@ class SnoopingCache:
         A post may be stale by the time the bus looks (the bus drops
         it); a live head is never unposted."""
         self._post = post
+
+    def connect_interest(self, interest: Callable[[BlockAddr, bool], None],
+                         ledger: "SnoopLedger", domain: int) -> None:
+        """Fabric wiring for interest-indexed snoop delivery.  The cache
+        calls ``interest(block, True)`` whenever it may start to care
+        about ``block`` (:meth:`cares_about`) -- a frame tagged with it
+        in :meth:`CacheArray.install
+        <repro.cache.organization.CacheArray.install>`, an RMW hold, the
+        busy-wait register armed -- and ``interest(block, False)`` once
+        it has stopped: after the last frame is retagged, the hold
+        released or the register cleared, and :meth:`cares_about` is
+        rechecked false.  The fabric then delivers a broadcast only to
+        the caches indexed under its block, which are exactly those that
+        could react; ``ledger`` (delivery domain ``domain``) stands in
+        for the directory snoops of the others."""
+        self._interest = interest
+        self._ledger = ledger
+        self.snoop_domain = domain
+        self.directory.count_from(ledger.seen, domain)
+
+    def _tags_changed(self, block: BlockAddr, tagged: bool) -> None:
+        if tagged:
+            self._interest(block, True)
+        else:
+            self._uncare(block)
+
+    def _uncare(self, block: BlockAddr) -> None:
+        """Leave ``block``'s interest index unless still caring."""
+        if not self.cares_about(block):
+            self._interest(block, False)
 
     def connect_processor(self, processor: "Processor",
                           wake: Callable[[], None]) -> None:
@@ -367,8 +414,10 @@ class SnoopingCache:
         if self._pending is None or not self._pending.lock_wait:
             raise ProgramError("no lock wait to cancel")
         self._settle_processor()
+        block = self.busy_wait.block
         self.busy_wait.clear()
         self._pending = None
+        self._uncare(block)
         if self.obs.active:
             self.obs.record_wait_cancelled(self.id, self.now())
 
@@ -489,6 +538,7 @@ class SnoopingCache:
         self, txn: BusTransaction, response, data: list[Stamp] | None
     ) -> CompletionInfo:
         """Called by the bus at grant time, after snoop aggregation."""
+        self.directory.own_transactions += 1
         info = self._complete_grant(txn, response, data)
         if txn.block == self.request_block:
             # The grant installed, replaced or consumed the head's
@@ -559,10 +609,12 @@ class SnoopingCache:
         self._settle_processor()
         if pending.request is not None:
             pending.retry_request = pending.request
+            pending.wake_request = None
         pending.request = None
         pending.lock_wait = True
         if not self.busy_wait.active:
             self.busy_wait.arm(txn.block, self.now())
+            self._interest(txn.block, True)
         else:
             # Re-arm after losing post-unlock arbitration to a new locker.
             self.busy_wait.lost_arbitration()
@@ -581,6 +633,7 @@ class SnoopingCache:
             # Whatever op was waiting (lock, read, write, RMW) has now
             # completed: stop watching for unlock broadcasts.
             self.busy_wait.clear()
+            self._uncare(txn.block)
         line = self.line_for(txn.block)
         if op.kind in (OpKind.READ, OpKind.LOCK):
             assert line is not None
@@ -656,10 +709,14 @@ class SnoopingCache:
         which also covers the update-invalid revalidation scan), the
         busy-wait register watches the block, or an RMW hold matches.
         This is the fast-miss test of :meth:`snoop` (which additionally
-        exempts unlock broadcasts, always taking the full path), and the
+        exempts unlock broadcasts, always taking the full path), the
         membership predicate the directory fabric uses to keep sharer
-        sets honest -- the two must stay identical for directory pruning
-        to be sound.
+        sets honest, and what the cache pushes into its fabric's
+        interest index (:meth:`connect_interest`) -- all must stay
+        identical for pruning, filtering and indexed delivery to be
+        sound.  Its inputs change only where the cache pushes: the tags
+        in ``CacheArray.install``, :meth:`hold_block` /
+        :meth:`release_hold`, and the busy-wait arm and clears.
         """
         if block in self.array._tagged:
             return True
@@ -724,7 +781,11 @@ class SnoopingCache:
             assert pending is not None and pending.retry_request is not None
             self._settle_processor()
             pending.lock_wait = False
-            pending.request = replace(pending.retry_request, high_priority=True)
+            wake = pending.wake_request
+            if wake is None:
+                wake = pending.wake_request = replace(
+                    pending.retry_request, high_priority=True)
+            pending.request = wake
             pending.posted_at = self.now()  # bus-wait measured from the wakeup
             self._post_request()
             if self.obs.active:
@@ -838,7 +899,10 @@ class SnoopingCache:
         if state is CacheState.WRITE_CLEAN:
             line.state = CacheState.WRITE_DIRTY
             self.stats.write_hits_to_clean += 1
-            self.directory.record_status_write(self.clock.cycle)
+            now = self.clock.cycle
+            if self._ledger is not None and self.directory.interferes:
+                self._ledger.status_write(self, now)
+            self.directory.record_status_write(now)
         elif state in (CacheState.WRITE_DIRTY, CacheState.LOCK, CacheState.LOCK_WAITER):
             pass  # already dirty
         elif state in (CacheState.READ, CacheState.READ_SOURCE_CLEAN,
@@ -866,7 +930,14 @@ class SnoopingCache:
     # -- RMW hold support (Feature 6, cache-hold method) -----------------------
 
     def hold_block(self, block: BlockAddr) -> None:
+        held = self._held_block
         self._held_block = block
+        self._interest(block, True)
+        if held is not None and held != block:
+            self._uncare(held)
 
     def release_hold(self) -> None:
+        held = self._held_block
         self._held_block = None
+        if held is not None:
+            self._uncare(held)

@@ -39,8 +39,11 @@ class DirectoryModel:
 
     kind: DirectoryKind
     status_writes: int = 0
-    snoops: int = 0
     interference_cycles: int = 0
+    #: Snoops recorded one by one (:meth:`record_snoop`).
+    recorded_snoops: int = 0
+    #: Transactions of the owning cache (which it does not snoop).
+    own_transactions: int = 0
     #: Cycle stamps of the latest write/snoop (no real cycle is ever -1).
     _written_at: int = -1
     _snooped_at: int = -1
@@ -48,13 +51,32 @@ class DirectoryModel:
     _cycle: int = 0
     #: Whether this directory kind charges interference (cached: the
     #: record paths run once per snoop, the hottest simulator rate).
-    _interferes: bool = False
+    interferes: bool = False
+    #: Broadcast counts per delivery domain, kept by the fabric's
+    #: :class:`~repro.bus.bus.SnoopLedger`, and this directory's domain
+    #: (see :meth:`count_from`).
+    _seen: list[int] | None = None
+    _domain: int = 0
 
     def __post_init__(self) -> None:
-        self._interferes = self.kind in (
+        self.interferes = self.kind in (
             DirectoryKind.IDENTICAL_DUAL,
             DirectoryKind.DUAL_PORTED_READ,
         )
+
+    def count_from(self, seen: list[int], domain: int) -> None:
+        """Derive :attr:`snoops` from a ledger's broadcast counts: the
+        fabric then snoops this directory only when its cache cares, and
+        every broadcast into ``domain`` but the cache's own is a snoop."""
+        self._seen = seen
+        self._domain = domain
+
+    @property
+    def snoops(self) -> int:
+        """Snoops the bus controller made of this directory."""
+        if self._seen is None:
+            return self.recorded_snoops
+        return self._seen[self._domain] - self.own_transactions
 
     def begin_cycle(self) -> None:
         self._cycle += 1
@@ -67,17 +89,22 @@ class DirectoryModel:
             now = self._cycle
         self.status_writes += 1
         self._written_at = now
-        if self._snooped_at == now and self._interferes:
+        if self._snooped_at == now and self.interferes:
             self.interference_cycles += 1
 
     def record_snoop(self, now: int | None = None) -> None:
         """The bus controller consulted the directory this cycle."""
         if now is None:
             now = self._cycle
-        self.snoops += 1
+        self.recorded_snoops += 1
         self._snooped_at = now
-        if self._written_at == now and self._interferes:
+        if self._written_at == now and self.interferes:
             self.interference_cycles += 1
+
+    def note_snoop(self, now: int) -> None:
+        """A snoop the fabric did not deliver happened earlier in cycle
+        ``now``: a status write later this cycle collides with it."""
+        self._snooped_at = now
 
     @property
     def interference_rate(self) -> float:

@@ -9,10 +9,16 @@ exists.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.cache.line import CacheLine
 from repro.cache.state import CacheState
 from repro.common.config import CacheConfig
 from repro.common.types import BlockAddr
+
+
+def _ignore_tags(block: BlockAddr, tagged: bool) -> None:
+    return None
 
 
 class CacheArray:
@@ -34,6 +40,10 @@ class CacheArray:
         # the simulator's hottest data structure -- the index turns the
         # per-snoop set scan into a dict probe.
         self._tagged: dict[BlockAddr, list[CacheLine]] = {}
+        #: ``on_tags(block, tagged)`` is told when ``block`` gains its
+        #: first tagged frame (``True``) or loses its last (``False``),
+        #: after the index has changed (wired by the owning cache).
+        self.on_tags: Callable[[BlockAddr, bool], None] = _ignore_tags
 
     def _set_index(self, block: BlockAddr) -> int:
         block_number = block // self.config.words_per_block
@@ -66,13 +76,21 @@ class CacheArray:
     def install(self, victim: CacheLine, block: BlockAddr, state: CacheState,
                 words: list[int], cycle: int) -> CacheLine:
         """Overwrite ``victim`` in place with a new resident block."""
-        if victim.block != block:
-            old = self._tagged.get(victim.block)
+        old_block = victim.block
+        if old_block != block:
+            tagged = self._tagged
+            old = tagged.get(old_block)
             if old is not None:
                 old.remove(victim)
                 if not old:
-                    del self._tagged[victim.block]
-            self._tagged.setdefault(block, []).append(victim)
+                    del tagged[old_block]
+                    self.on_tags(old_block, False)
+            frames = tagged.get(block)
+            if frames is None:
+                tagged[block] = [victim]
+                self.on_tags(block, True)
+            else:
+                frames.append(victim)
         victim.block = block
         victim.state = state
         victim.fill(words)

@@ -245,6 +245,9 @@ class DirectorySystem(MultiBusSystem):
         super().__init__(topology.directory_banks, memory, timing, clock,
                          stats, trace, obs if obs is not None else NULL_OBS)
 
+    #: Home banks deliver by sharer set, not by the interest index.
+    indexed = False
+
     def _make_bus(self, index: int) -> Bus:
         return DirectoryFabric(self, index)
 
