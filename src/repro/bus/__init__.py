@@ -1,7 +1,8 @@
-"""Single broadcast bus: transactions, snoop signalling, arbitration."""
+"""Broadcast fabrics: transactions, snoop signalling, arbitration."""
 
 from repro.bus.arbiter import Arbiter, ArbitrationRequest
 from repro.bus.bus import Bus, BusPort
+from repro.bus.multibus import Fabric
 from repro.bus.signals import BusResponse, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 
@@ -13,5 +14,6 @@ __all__ = [
     "BusPort",
     "BusResponse",
     "BusTransaction",
+    "Fabric",
     "SnoopReply",
 ]

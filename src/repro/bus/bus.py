@@ -1,36 +1,31 @@
-"""The single broadcast bus (Section A.2).
+"""The broadcast bus (Section A.2), as one serialization lane.
 
-At most one transaction occupies the bus at a time.  A grant is atomic:
-the winning requester's transaction is broadcast, every other port snoops
-and changes state immediately, memory is consulted, and the requester
-completes -- all at the grant cycle.  The transaction then *occupies* the
-bus for a duration derived from :class:`~repro.common.config.TimingConfig`,
-and the requesting processor resumes when the bus frees.
+At most one transaction occupies a lane at a time.  A grant is atomic:
+the winning requester's transaction is delivered, every port it reaches
+snoops and changes state immediately, memory is consulted, and the
+requester completes -- all at the grant cycle.  The transaction then
+*occupies* the lane for a duration derived from
+:class:`~repro.common.config.TimingConfig`, and the requesting processor
+resumes when the lane frees.  A fabric (:mod:`repro.bus.multibus`) owns
+one or more lanes over block-interleaved partitions and decides what a
+transaction reaches.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import TYPE_CHECKING, Collection, Iterable, Protocol
+from typing import TYPE_CHECKING, Collection, Protocol
 
 from repro.bus.arbiter import round_robin
 from repro.bus.signals import BusResponse, SnoopReply
 from repro.bus.transaction import BusOp, BusTransaction
 from repro.common.config import TimingConfig
 from repro.common.types import NEVER, BlockAddr, CacheId, Stamp
-from repro.protocols.base import Outcome
 from repro.protocols.features import ReadSourcePolicy
 from repro.sim.events import EventKind
 
-from repro.obs.core import NULL_OBS
-
 if TYPE_CHECKING:
+    from repro.bus.multibus import Fabric
     from repro.cache.cache import SnoopingCache
-    from repro.memory.main_memory import MainMemory
-    from repro.obs.core import Observability
-    from repro.sim.clock import Clock
-    from repro.sim.events import TraceLog
-    from repro.sim.stats import SimStats
 
 
 class BusPort(Protocol):
@@ -50,6 +45,9 @@ class BusPort(Protocol):
     port without it snoops every broadcast."""
 
     id: CacheId
+    #: The lane the port's request head was routed to when it last
+    #: posted; a port that cannot post requests on lane 0.
+    request_bus: int
 
     def has_bus_request(self) -> bool: ...
 
@@ -65,37 +63,6 @@ class BusPort(Protocol):
     def snoop(self, txn: BusTransaction) -> SnoopReply: ...
 
     def finish_bus_release(self) -> None: ...
-
-
-def _post_to(ready: set[int], dirty: set[int], index: int,
-             block: BlockAddr) -> int:
-    """A single bus owns every block: any post lands in its ready and
-    dirty sets."""
-    ready.add(index)
-    dirty.add(index)
-    return 0
-
-
-def _index_to(interest: dict[BlockAddr, set[int]], index: int,
-              block: BlockAddr, cares: bool) -> None:
-    """Enter (``cares``) or remove position ``index`` under ``block`` in
-    a bus's interest index."""
-    positions = interest.get(block)
-    if cares:
-        if positions is None:
-            interest[block] = {index}
-        else:
-            positions.add(index)
-    elif positions is not None:
-        positions.discard(index)
-        if not positions:
-            del interest[block]
-
-
-#: Delivery domains of a bus without clusters: everything is domain 0.
-WHOLE_FABRIC = (0,)
-
-_NOBODY: frozenset[int] = frozenset()
 
 
 class SnoopLedger:
@@ -164,38 +131,31 @@ class SnoopLedger:
 
 
 class Bus:
-    """Single bus with snoop broadcast and a busy-cycle occupancy model."""
+    """One serialization lane of a fabric: a bus with snoop broadcast
+    and a busy-cycle occupancy model.
 
-    def __init__(
-        self,
-        memory: "MainMemory",
-        timing: TimingConfig,
-        clock: "Clock",
-        stats: "SimStats",
-        trace: "TraceLog",
-        obs: "Observability" = NULL_OBS,
-        index: int = 0,
-    ) -> None:
-        self.memory = memory
-        self.timing = timing
-        self.clock = clock
-        self.stats = stats
-        self.trace = trace
-        self.obs = obs
-        #: Optional :class:`~repro.sim.schedule.Scheduler` resolving
-        #: arbitration and read-source ties; ``None`` keeps the built-in
-        #: deterministic tie-breaks (round-robin, lowest id).
-        self.scheduler = None
-        #: Position in a multi-bus system (labels this bus's metrics).
+    A lane owns what serializes its blocks -- its ready, dirty and
+    high-priority sets, its interest index, its occupancy and its
+    round-robin position -- and reads the ports themselves from its
+    fabric's one port table.  What a granted transaction reaches, and
+    what the reaching costs beyond the bus occupancy, is the fabric's
+    delivery rule (:meth:`Fabric._deliver
+    <repro.bus.multibus.Fabric._deliver>` and ``_extra_cycles``)."""
+
+    def __init__(self, fabric: "Fabric", index: int) -> None:
+        self.fabric = fabric
+        self.memory = fabric.memory
+        self.timing = fabric.timing
+        self.clock = fabric.clock
+        self.stats = fabric.stats
+        self.trace = fabric.trace
+        self.obs = fabric.obs
+        #: Position in the fabric (labels this lane's metrics); a port
+        #: whose ``request_bus`` is this index requests here.
         self.index = index
-        self._ports: dict[CacheId, BusPort] = {}
-        #: Snapshot of the port list for allocation-free scans.
-        self._port_list: tuple[BusPort, ...] = ()
-        #: Port id -> attachment position (the arbitration order).
-        self._position: dict[CacheId, int] = {}
         #: Positions of ports that posted a request here.  May hold stale
         #: entries (dropped when a walk meets them), never misses a port
-        #: whose request hint routes to this bus.
+        #: whose request hint routes to this lane.
         self._ready: set[int] = set()
         #: Positions whose request must be revalidated at the next
         #: arbitration: every post lands here too, and a port re-posts
@@ -206,60 +166,18 @@ class Bus:
         #: superset of the live ones (stale entries dropped when met).
         self._high: set[int] = set()
         #: Positions of ports that cannot post (the I/O processor),
-        #: revalidated at every arbitration.
-        self._polled: list[int] = []
+        #: revalidated at every arbitration.  They request only on lane
+        #: 0, so the other lanes never poll them.
+        self._polled: list[int] = fabric._polled if index == 0 else []
         #: Interest index: block -> positions of the ports that care
         #: about it (pushed by the ports, see ``connect_interest``).
+        #: Holds only the blocks this lane owns.
         self._interest: dict[BlockAddr, set[int]] = {}
-        #: Positions of ports that cannot push interest (the I/O
-        #: processor): they snoop every broadcast.
-        self._unindexed: list[int] = []
-        #: Position -> delivery domain (cluster) of the port there.
-        self._domain: list[int] = []
-        #: Bulk accounting of skipped snoops (shared by a fabric's buses).
-        self.ledger = SnoopLedger()
         #: Position of the previous grant; the round-robin walk starts
         #: after it.
         self._last_winner = -1
         self._busy_until = 0
         self._active_port: BusPort | None = None
-        #: Retries forced by cache-hold RMW snOop refusals.
-        self.retries = 0
-
-    # -- wiring -------------------------------------------------------------
-
-    def attach(self, port: BusPort) -> None:
-        connect = getattr(port, "connect_ready", None)
-        interest = getattr(port, "connect_interest", None)
-        index = self._add_port(port, polled=connect is None,
-                               indexed=interest is not None)
-        if connect is not None:
-            connect(functools.partial(_post_to, self._ready, self._dirty,
-                                      index))
-        if interest is not None:
-            interest(functools.partial(_index_to, self._interest, index),
-                     self.ledger, 0)
-
-    def _add_port(self, port: BusPort, *, polled: bool, indexed: bool,
-                  domain: int = 0) -> int:
-        """Register ``port``; returns its attachment position."""
-        if port.id in self._ports:
-            raise ValueError(f"port {port.id} already attached")
-        index = len(self._port_list)
-        self._ports[port.id] = port
-        self._port_list = tuple(self._ports.values())
-        self._position[port.id] = index
-        self._domain.append(domain)
-        # As if the newest port won last: the walk starts at position 0.
-        self._last_winner = index
-        if polled:
-            self._polled.append(index)
-        if not indexed:
-            self._unindexed.append(index)
-        return index
-
-    def port(self, cache_id: CacheId) -> BusPort:
-        return self._ports[cache_id]
 
     @property
     def busy(self) -> bool:
@@ -273,12 +191,13 @@ class Bus:
     def next_event_cycle(self) -> int:
         """Earliest cycle at which :meth:`step` does anything.
 
-        While occupied the bus is inert until ``_busy_until`` (the release
-        and the following arbitration happen on that cycle).  When free it
-        acts immediately if a release is owed or any posted port has a
-        grantable request; otherwise it stays idle until a processor posts
-        one -- which requires a processor event, so the caller takes the
-        minimum with the processors' own next events.
+        While occupied the lane is inert until ``_busy_until`` (the
+        release and the following arbitration happen on that cycle).
+        When free it acts immediately if a release is owed or any posted
+        port has a grantable request routed here; otherwise it stays
+        idle until a processor posts one -- which requires a processor
+        event, so the caller takes the minimum with the processors' own
+        next events.
         """
         now = self.clock.cycle
         if now < self._busy_until:
@@ -288,10 +207,12 @@ class Bus:
         # The hint may be optimistic (a request revalidation would
         # clear), which only costs a stepped cycle in which arbitration
         # finds nothing -- exactly what the stepped engine would do.
-        ports = self._port_list
+        ports = self.fabric._port_list
+        me = self.index
         ready = self._ready
         for index in ready:
-            if ports[index].has_request_hint():
+            port = ports[index]
+            if port.request_bus == me and port.has_request_hint():
                 return now
         ready.clear()  # every post was stale
         for index in self._polled:
@@ -302,7 +223,7 @@ class Bus:
     # -- per-cycle driver ------------------------------------------------------
 
     def step(self) -> bool:
-        """Advance one cycle; returns True if the bus did anything."""
+        """Advance one cycle; returns True if the lane did anything."""
         if self.busy:
             return True
         if self._active_port is not None:
@@ -312,7 +233,7 @@ class Bus:
         winner = self._arbitrate()
         if winner is None:
             return False
-        port = self._port_list[winner]
+        port = self.fabric._port_list[winner]
         txn = port.take_bus_transaction()
         self._execute(port, txn)
         return True
@@ -328,8 +249,11 @@ class Bus:
         revalidation of every port.  Then the walk visits the high
         priority set, or failing that the ready set, in round-robin
         order and stops at the first live request -- or, with a
-        scheduler, collects every live one as its choice."""
-        ports = self._port_list
+        scheduler, collects every live one as its choice.  Only a
+        request routed to this lane is live here: routing is checked
+        before the port revalidates, so no other lane revalidates it."""
+        ports = self.fabric._port_list
+        me = self.index
         ready = self._ready
         high = self._high
         dirty = self._dirty
@@ -339,7 +263,7 @@ class Bus:
         if dirty:
             for index in sorted(dirty):
                 port = ports[index]
-                if not port.has_bus_request():
+                if port.request_bus != me or not port.has_bus_request():
                     ready.discard(index)
                     high.discard(index)
                 elif port.bus_request_priority():
@@ -361,7 +285,7 @@ class Bus:
             kind = (ChoiceKind.WAITER_WAKE if waiter_wake
                     else ChoiceKind.BUS_ARB)
             ids = [ports[index].id for index in candidates]
-            winner = candidates[self.scheduler.choose(
+            winner = candidates[self.fabric.scheduler.choose(
                 kind, ids, cycle=self.clock.cycle)]
         self._last_winner = winner
         return winner
@@ -372,14 +296,15 @@ class Bus:
         scheduler chooses among them all.  Stale entries met are dropped
         from the ready and high sets, live normal-priority ones from the
         high set."""
-        ports = self._port_list
+        ports = self.fabric._port_list
+        me = self.index
         ready = self._ready
         high = self._high
-        collect = self.scheduler is not None
+        collect = self.fabric.scheduler is not None
         found: list[int] = []
         for index in round_robin(pool, self._last_winner):
             port = ports[index]
-            if not port.has_bus_request():
+            if port.request_bus != me or not port.has_bus_request():
                 ready.discard(index)
                 high.discard(index)
             elif high_only and not port.bus_request_priority():
@@ -403,7 +328,7 @@ class Bus:
             self.obs.record_txn_begin(now, txn.op.name, txn.block,
                                       txn.requester, bus=self.index)
 
-        replies = self._snoop_all(port, txn)
+        replies = self.fabric._deliver(self, port, txn)
         response = BusResponse.combine(replies, choose=self._choose_source)
 
         self._absorb_flushes(txn, replies)
@@ -411,8 +336,6 @@ class Bus:
         self._memory_side_effects(txn, response)
 
         info = port.on_txn_granted(txn, response, data)
-        if info.outcome is Outcome.REBUS and response.retry:
-            self.retries += 1
 
         duration = self._duration(txn, response, replies, info)
         self.stats.record_txn(txn.op.name, duration)
@@ -427,57 +350,14 @@ class Bus:
     def _choose_source(self, candidates: list[CacheId]) -> CacheId:
         """Resolve a multi-candidate read-source arbitration (Illinois,
         Feature 8 ``ARB``); the default tie-break is the lowest id."""
-        if self.scheduler is None or len(candidates) < 2:
+        scheduler = self.fabric.scheduler
+        if scheduler is None or len(candidates) < 2:
             return candidates[0]
         from repro.sim.schedule import ChoiceKind
 
-        index = self.scheduler.choose(ChoiceKind.READ_SOURCE, candidates,
-                                      cycle=self.clock.cycle)
+        index = scheduler.choose(ChoiceKind.READ_SOURCE, candidates,
+                                 cycle=self.clock.cycle)
         return candidates[index]
-
-    def _snoop_all(
-        self, requester: BusPort, txn: BusTransaction
-    ) -> dict[CacheId, SnoopReply]:
-        return self._deliver(requester, txn, WHOLE_FABRIC)
-
-    def _deliver(
-        self, requester: BusPort, txn: BusTransaction,
-        domains: Collection[int],
-    ) -> dict[CacheId, SnoopReply]:
-        """Snoop ``txn`` at the ports indexed under its block and the
-        unindexed ones, in position order (``combine`` keeps the last
-        supplier it meets), skipping the requester and, unless
-        ``domains`` is :data:`WHOLE_FABRIC`, ports outside ``domains``.
-        Every other port would have answered a fast miss; the ledger
-        accounts for their snoops."""
-        rid = requester.id
-        ports = self._port_list
-        indexed = self._interest.get(txn.block, _NOBODY)
-        unindexed = self._unindexed
-        dense = len(indexed) + len(unindexed) == len(ports)
-        whole = domains is WHOLE_FABRIC
-        replies: dict[CacheId, SnoopReply] = {}
-        if dense and whole:
-            # Every port may care (a lock every cache tags): no sort.
-            for cid, port in self._ports.items():
-                if cid != rid:
-                    replies[cid] = port.snoop(txn)
-        else:
-            order: Iterable[int]
-            if dense:
-                order = range(len(ports))
-            elif unindexed:
-                order = sorted(indexed.union(unindexed))
-            else:
-                order = sorted(indexed)
-            domain_of = self._domain
-            for index in order:
-                port = ports[index]
-                cid = port.id
-                if cid != rid and (whole or domain_of[index] in domains):
-                    replies[cid] = port.snoop(txn)
-        self.ledger.grant(self.clock.cycle, rid, domains, replies)
-        return replies
 
     def _absorb_flushes(
         self, txn: BusTransaction, replies: dict[CacheId, SnoopReply]
@@ -571,12 +451,11 @@ class Bus:
         if info.lock_spilled:
             base += t.invalidate_cycles
         base += txn.extra_hold_cycles
-        return max(1, base)
+        return max(1, base) + self.fabric._extra_cycles(self, txn, response,
+                                                        replies)
 
     def _base_duration(self, txn, response, replies, t: TimingConfig, wpb: int) -> int:
         op = txn.op
-        if response.retry:
-            return t.invalidate_cycles
         if op in (
             BusOp.UPGRADE,
             BusOp.WRITE_NO_FETCH,

@@ -1,18 +1,19 @@
 """Interconnect-fabric registry (the topology analogue of the protocol
 registry).
 
-Each :data:`~repro.common.config.TOPOLOGY_KINDS` entry maps to a builder
-that assembles the corresponding fabric from a
+Every fabric is a :class:`~repro.bus.multibus.Fabric` of k lanes: one
+port table, one ledger, and k block-interleaved
+:class:`~repro.bus.bus.Bus` lanes.  Kinds differ only in their delivery
+rule.  Each :data:`~repro.common.config.TOPOLOGY_KINDS` entry maps to a
+builder that assembles the corresponding fabric from a
 :class:`~repro.common.config.TopologyConfig`:
 
-* ``snoop`` -- the plain single :class:`~repro.bus.bus.Bus` (the paper's
-  broadcast bus; also what the engine's event-skip loop is calibrated
-  against, so the default stays bit-identical).
-* ``multibus`` -- :class:`~repro.bus.multibus.MultiBusSystem` with
-  ``topology.buses`` block-interleaved buses (built even for one bus, so
-  the port-view wrapper itself is exercised by the conformance matrix).
-* ``clustered`` -- :class:`~repro.bus.hierarchy.ClusteredBusSystem`.
-* ``directory`` -- :class:`~repro.directory_backend.DirectorySystem`.
+* ``snoop`` -- the fabric with one lane: the paper's broadcast bus.
+* ``multibus`` -- the same class with ``topology.buses`` lanes.
+* ``clustered`` -- :class:`~repro.bus.hierarchy.ClusteredBusSystem`,
+  whose delivery filters by cluster interest.
+* ``directory`` -- :class:`~repro.directory_backend.DirectorySystem`,
+  whose delivery probes the home bank's sharer set.
 
 ``REPRO_TOPOLOGY`` overrides the session default; an unknown kind there
 is a :class:`~repro.common.errors.ConfigError`, not a silent fallback.
@@ -54,19 +55,11 @@ def default_topology() -> str:
     return kind
 
 
-def _build_snoop(topology: TopologyConfig, memory, timing, clock, stats,
-                 trace, obs):
-    from repro.bus.bus import Bus
+def _build_bus(topology: TopologyConfig, memory, timing, clock, stats,
+               trace, obs):
+    from repro.bus.multibus import Fabric
 
-    return Bus(memory, timing, clock, stats, trace, obs=obs)
-
-
-def _build_multibus(topology: TopologyConfig, memory, timing, clock, stats,
-                    trace, obs):
-    from repro.bus.multibus import MultiBusSystem
-
-    return MultiBusSystem(topology.buses, memory, timing, clock, stats,
-                          trace, obs)
+    return Fabric(topology, memory, timing, clock, stats, trace, obs)
 
 
 def _build_clustered(topology: TopologyConfig, memory, timing, clock, stats,
@@ -86,8 +79,8 @@ def _build_directory(topology: TopologyConfig, memory, timing, clock, stats,
 
 
 _FABRICS: dict[str, Callable] = {
-    "snoop": _build_snoop,
-    "multibus": _build_multibus,
+    "snoop": _build_bus,
+    "multibus": _build_bus,
     "clustered": _build_clustered,
     "directory": _build_directory,
 }

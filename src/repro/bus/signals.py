@@ -37,9 +37,6 @@ class SnoopReply:
     #: (flush-on-transfer, Feature 7 ``F``; or Synapse's flush-then-memory
     #: service of a read request).
     flush_words: list[int] | None = None
-    #: The snooped request must be retried (a cache is holding the block
-    #: for an atomic read-modify-write, Feature 6 cache-hold method).
-    retry: bool = False
     #: Words the supply moves under sub-block transfer units (D.3);
     #: ``None`` means whole-block.
     supply_words_moved: int | None = None
@@ -61,8 +58,6 @@ class BusResponse:
     supplier_dirty: bool = False
     #: The block is locked in another cache; no data is transferred.
     locked: bool = False
-    #: The request must be retried (cache-hold RMW in progress).
-    retry: bool = False
     #: Lock tag found set in main memory (purged-lock fallback, E.3),
     #: owned by another cache: the request is refused.
     memory_locked: bool = False
@@ -99,8 +94,6 @@ class BusResponse:
                 response.shared_hit = True
             if reply.locked:
                 response.locked = True
-            if reply.retry:
-                response.retry = True
             if reply.supplies:
                 response.supplier = cache_id
                 response.supplier_dirty = reply.dirty

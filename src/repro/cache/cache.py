@@ -133,7 +133,6 @@ class SnoopingCache:
         self.oracle: "WriteOracle | None" = None  # set by the engine
         self._pending: PendingAccess | None = None
         self._detached: deque[tuple[NeedBus, BlockAddr]] = deque()
-        self._held_block: BlockAddr | None = None
         self._install_effects = _InstallEffects()
         #: How atomic read-modify-writes are serialized (Feature 6).
         self.rmw_method = RmwMethod.CACHE_HOLD
@@ -212,14 +211,14 @@ class SnoopingCache:
         calls ``interest(block, True)`` whenever it may start to care
         about ``block`` (:meth:`cares_about`) -- a frame tagged with it
         in :meth:`CacheArray.install
-        <repro.cache.organization.CacheArray.install>`, an RMW hold, the
-        busy-wait register armed -- and ``interest(block, False)`` once
-        it has stopped: after the last frame is retagged, the hold
-        released or the register cleared, and :meth:`cares_about` is
-        rechecked false.  The fabric then delivers a broadcast only to
-        the caches indexed under its block, which are exactly those that
-        could react; ``ledger`` (delivery domain ``domain``) stands in
-        for the directory snoops of the others."""
+        <repro.cache.organization.CacheArray.install>`, the busy-wait
+        register armed -- and ``interest(block, False)`` once it has
+        stopped: after the last frame is retagged or the register
+        cleared, and :meth:`cares_about` is rechecked false.  The fabric
+        then delivers a broadcast only to the caches indexed under its
+        block, which are exactly those that could react; ``ledger``
+        (delivery domain ``domain``) stands in for the directory snoops
+        of the others."""
         self._interest = interest
         self._ledger = ledger
         self.snoop_domain = domain
@@ -560,10 +559,6 @@ class SnoopingCache:
         if pending is None:
             raise ProtocolError(f"cache {self.id}: grant with no pending op: {txn}")
 
-        if response.retry:
-            # A cache is holding the block (RMW cache-hold); retry later.
-            return CompletionInfo(outcome=Outcome.REBUS)
-
         if txn.op is BusOp.MEMORY_RMW:
             self._apply_memory_rmw(pending, txn)
             return CompletionInfo(outcome=Outcome.DONE)
@@ -706,8 +701,8 @@ class SnoopingCache:
         """Would this cache react to a transaction on ``block``?
 
         True when a frame is tagged with the block (valid or invalid,
-        which also covers the update-invalid revalidation scan), the
-        busy-wait register watches the block, or an RMW hold matches.
+        which also covers the update-invalid revalidation scan), or the
+        busy-wait register watches the block.
         This is the fast-miss test of :meth:`snoop` (which additionally
         exempts unlock broadcasts, always taking the full path), the
         membership predicate the directory fabric uses to keep sharer
@@ -715,12 +710,9 @@ class SnoopingCache:
         interest index (:meth:`connect_interest`) -- all must stay
         identical for pruning, filtering and indexed delivery to be
         sound.  Its inputs change only where the cache pushes: the tags
-        in ``CacheArray.install``, :meth:`hold_block` /
-        :meth:`release_hold`, and the busy-wait arm and clears.
+        in ``CacheArray.install``, and the busy-wait arm and clears.
         """
         if block in self.array._tagged:
-            return True
-        if self._held_block == block:
             return True
         wait = self.busy_wait
         return wait.phase is not WaitPhase.IDLE and wait.block == block
@@ -764,9 +756,6 @@ class SnoopingCache:
             # This snoop may take or restore the copy the queued request
             # was revalidated against.
             self._post_request()
-
-        if self._held_block is not None and self._held_block == txn.block:
-            return SnoopReply(retry=True)
 
         line = self.array.lookup(txn.block)
         if line is None:
@@ -926,18 +915,3 @@ class SnoopingCache:
             return None
         dirty_units = sum(1 for d in (line.unit_dirty or []) if d)
         return max(1, dirty_units) * tu
-
-    # -- RMW hold support (Feature 6, cache-hold method) -----------------------
-
-    def hold_block(self, block: BlockAddr) -> None:
-        held = self._held_block
-        self._held_block = block
-        self._interest(block, True)
-        if held is not None and held != block:
-            self._uncare(held)
-
-    def release_hold(self) -> None:
-        held = self._held_block
-        self._held_block = None
-        if held is not None:
-            self._uncare(held)

@@ -11,7 +11,6 @@ occupancy so that block size matters (Sections D.3, F.4).
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field, fields
 
 from repro.common.errors import ConfigError
@@ -39,7 +38,8 @@ def _config_from_dict(cls, data: dict, *, where: str):
     specs = {spec.name: spec for spec in fields(cls)}
     unknown = sorted(set(data) - set(specs))
     if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
+        raise ConfigError("unknown field(s) " + ", ".join(
+            f"{where}.{name}" for name in unknown))
     kwargs: dict = {}
     for name, value in data.items():
         kind = specs[name].type
@@ -319,8 +319,7 @@ class TopologyConfig:
 
     @property
     def num_buses(self) -> int:
-        """Serialization domains of the fabric (what legacy readers of
-        ``SystemConfig.num_buses`` see)."""
+        """Serialization domains of the fabric: the lanes it builds."""
         if self.kind == "multibus":
             return self.buses
         if self.kind == "clustered":
@@ -343,12 +342,6 @@ class SystemConfig:
 
     num_processors: int = 4
     protocol: str = "bitar-despain"
-    #: Deprecated alias for ``topology``: ``num_buses=k`` maps to a
-    #: ``snoop`` (k == 1) or ``multibus`` (k > 1) TopologyConfig with a
-    #: DeprecationWarning.  After construction the attribute always
-    #: reads as the effective bus/bank count of the topology, so legacy
-    #: readers keep working.
-    num_buses: int | None = None
     #: The interconnect fabric (default: the single snooping bus).
     topology: TopologyConfig | None = None
     cache: CacheConfig = field(default_factory=CacheConfig)
@@ -371,40 +364,14 @@ class SystemConfig:
             raise ConfigError("num_processors must be positive")
         if self.deadlock_horizon <= 0:
             raise ConfigError("deadlock_horizon must be positive")
-        topology = self.topology
-        if self.num_buses is not None:
-            if self.num_buses <= 0:
-                raise ConfigError("num_buses must be positive")
-            warnings.warn(
-                "SystemConfig.num_buses is deprecated; pass "
-                "topology=TopologyConfig(kind='multibus', buses=k) instead",
-                DeprecationWarning, stacklevel=3,
-            )
-            if topology is None:
-                topology = (TopologyConfig() if self.num_buses == 1 else
-                            TopologyConfig(kind="multibus",
-                                           buses=self.num_buses))
-            elif topology.num_buses != self.num_buses:
-                raise ConfigError(
-                    f"num_buses ({self.num_buses}) conflicts with the "
-                    f"topology ({topology.kind}, {topology.num_buses} "
-                    f"buses); drop the deprecated num_buses"
-                )
-        if topology is None:
-            topology = TopologyConfig()
-        # Normalize: topology is always set, and the deprecated alias
-        # always reads as the effective bus count for legacy readers.
-        object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "num_buses", topology.num_buses)
+        if self.topology is None:
+            # Normalize: topology is always set.
+            object.__setattr__(self, "topology", TopologyConfig())
 
     def to_dict(self) -> dict:
         """Serialize to plain data (enums by value, nested configs as
-        dicts); :meth:`from_dict` round-trips the result exactly.  The
-        deprecated ``num_buses`` alias is omitted (it is implied by
-        ``topology``); legacy payloads carrying it still load."""
-        out = _config_to_dict(self)
-        del out["num_buses"]
-        return out
+        dicts); :meth:`from_dict` round-trips the result exactly."""
+        return _config_to_dict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "SystemConfig":

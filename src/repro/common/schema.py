@@ -62,7 +62,10 @@ Version history
    directory@256 / snoop@16 throughput ratio guarded by
    ``perf_guard``).  Migration: v4 readers that ignore unknown keys
    keep working; readers of ``config.num_buses`` must switch to
-   ``config.topology``.
+   ``config.topology``.  (The alias has since been removed without a
+   schema bump, since emitted payloads never carried it: a payload
+   carrying ``num_buses`` now fails with a ``ConfigError`` naming
+   ``system.num_buses``.)
 6. Declarative scenarios: two new stamped artifact kinds, ``scenario``
    (a saved scenario spec, the ``scenarios/*.json`` corpus) and
    ``scenario-failure`` (a shrunk scenario-fuzzer counterexample:

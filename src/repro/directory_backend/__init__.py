@@ -22,7 +22,7 @@ from repro.directory_backend.representations import (
     bits_per_block,
 )
 from repro.directory_backend.state import DirectoryEntry, DirectoryState
-from repro.directory_backend.system import DirectoryFabric, DirectorySystem
+from repro.directory_backend.system import DirectorySystem
 from repro.directory_backend.table import (
     HOME_BANK_TABLE,
     DirectoryTable,
@@ -36,7 +36,6 @@ __all__ = [
     "CoarseVector",
     "DirEvent",
     "DirectoryEntry",
-    "DirectoryFabric",
     "DirectoryState",
     "DirectorySystem",
     "DirectoryTable",

@@ -1,27 +1,30 @@
 """The directory fabric: home banks, sharer vectors, point-to-point
 delivery.
 
-Blocks interleave across ``directory_banks`` home banks exactly as they
-interleave across buses in the multi-bus system, so every transaction on
-a block serializes at its home bank -- the same single-writer argument,
-with the bank in the bus's role.  Instead of broadcasting, the bank
-looks the request up in the home-bank
+The fabric's lanes are its ``directory_banks`` home banks: blocks
+interleave across them exactly as they interleave across the buses of
+:class:`~repro.bus.multibus.Fabric`, so every transaction on a block
+serializes at its home bank -- the same single-writer argument, with the
+bank in the bus's role.  Delivery is the only difference.  Instead of
+broadcasting, the bank looks the request up in the home-bank
 :class:`~repro.directory_backend.table.DirectoryTable` (through the
 same ``TransitionTable.lookup`` every protocol uses) and executes the
-matched row's actions: probe-set selection, membership refresh, message
-tallies, and hop/lookup timing.
+matched row's actions: :meth:`DirectorySystem._deliver` runs its
+enrollment and probe-set selection, and
+:meth:`DirectorySystem._extra_cycles` its hop/lookup timing, message
+tallies and membership refresh.
 
 **Why pruning is sound.**  A cache reacts to a snoop only when
 :meth:`~repro.cache.cache.Cache.cares_about` holds -- the block is
-tagged in a frame, the busy-wait register is armed on the block, or an
-RMW hold matches.  Every one of those conditions is created exclusively
-by that cache's *own* bus transaction on the same block, so a cache
-outside the sharer set would have answered miss; pruning it changes no
-replies, only traffic.  The obligations that keep the sharer set honest
-are lint rules over the table rather than prose: every delivery row
-must ``enroll`` the requester, probe, and ``refresh`` the caches the
-transaction could have changed (``directory-sharer-drop``), and rows
-meeting an overflowed -- imprecise -- representation must broadcast
+tagged in a frame, or the busy-wait register is armed on the block.
+Both conditions are created exclusively by that cache's *own* bus
+transaction on the same block, so a cache outside the sharer set would
+have answered miss; pruning it changes no replies, only traffic.  The
+obligations that keep the sharer set honest are lint rules over the
+table rather than prose: every delivery row must ``enroll`` the
+requester, probe, and ``refresh`` the caches the transaction could have
+changed (``directory-sharer-drop``), and rows meeting an overflowed --
+imprecise -- representation must broadcast
 (``directory-overflow-policy``).  See
 :mod:`repro.directory_backend.table`.
 
@@ -37,8 +40,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.bus.bus import Bus, BusPort
-from repro.bus.multibus import MultiBusSystem
-from repro.bus.signals import SnoopReply
+from repro.bus.multibus import Fabric
+from repro.bus.signals import BusResponse, SnoopReply
 from repro.bus.transaction import BusTransaction
 from repro.common.config import TimingConfig, TopologyConfig
 from repro.common.types import CacheId
@@ -61,38 +64,52 @@ if TYPE_CHECKING:
     from repro.sim.stats import SimStats
 
 
-def _underlying(port: BusPort):
-    """Unwrap a multi-bus port view down to the attached component."""
-    return getattr(port, "_port", port)
-
-
-class DirectoryFabric(Bus):
-    """One home bank: serializes its blocks' transactions and executes
-    the home-bank table's actions to deliver them."""
+class DirectorySystem(Fabric):
+    """``directory_banks`` home banks over block-interleaved partitions;
+    each bank executes the home-bank table's actions to deliver its
+    blocks' transactions."""
 
     #: The home-bank policy.  A class attribute so the mc mutation
     #: harness can patch it exactly like a protocol table.
     table: DirectoryTable = HOME_BANK_TABLE
 
-    def __init__(self, system: "DirectorySystem", index: int) -> None:
-        super().__init__(system.memory, system.timing, system.clock,
-                         system.stats, system.trace, obs=system.obs,
-                         index=index)
-        self._system = system
-        self.directory = DirectoryState(
-            index, representation_factory(system.topology))
-        self._last_probed: set[CacheId] = set()
+    #: Home banks deliver by sharer set, not by the interest index.
+    indexed = False
+
+    def __init__(
+        self,
+        topology: TopologyConfig,
+        memory: "MainMemory",
+        timing: TimingConfig,
+        clock: "Clock",
+        stats: "SimStats",
+        trace: "TraceLog",
+        obs: "Observability",
+    ) -> None:
+        super().__init__(topology, memory, timing, clock, stats, trace, obs)
+        #: Lane index -> its bank's directory state.
+        self.banks = [DirectoryState(lane.index,
+                                     representation_factory(topology))
+                      for lane in self.buses]
+        #: The bank executing the current transaction and the home-bank
+        #: row it matched (lanes execute one at a time).
+        self._bank = self.banks[0]
         self._active_row: Rule | None = None
 
     # -- delivery -----------------------------------------------------------
 
     def _entry_of(self, txn: BusTransaction) -> DirectoryEntry:
+        """``txn``'s entry at the bank executing it (the block's home
+        bank, except for an I/O request, which executes on lane 0)."""
         block_number = txn.block // self.memory.words_per_block
-        return self.directory.entry(block_number)
+        return self._bank.entry(block_number)
 
-    def _snoop_all(
-        self, requester: BusPort, txn: BusTransaction
-    ) -> dict[CacheId, SnoopReply]:
+    def _deliver(self, lane: Bus, requester: BusPort,
+                 txn: BusTransaction) -> dict[CacheId, SnoopReply]:
+        """Look the request up in the home-bank table and run the
+        matched row's delivery actions: enroll the requester, count the
+        request, and probe the listed sharers or every port."""
+        self._bank = self.banks[lane.index]
         entry = self._entry_of(txn)
         sharers = entry.sharers
         rid = requester.id
@@ -111,7 +128,7 @@ class DirectoryFabric(Bus):
             if action == "enroll":
                 sharers.enroll(rid)
             elif action == "count-request":
-                self.directory.requests += 1
+                self._bank.requests += 1
             elif action == "probe-listed":
                 # Port order (not sharer-set order) keeps reply
                 # combination and read-source arbitration deterministic
@@ -125,16 +142,7 @@ class DirectoryFabric(Bus):
                 for cid, port in ports.items():
                     if cid != rid:
                         replies[cid] = port.snoop(txn)
-        self._last_probed = set(replies)
         return replies
-
-    def _execute(self, port: BusPort, txn: BusTransaction) -> None:
-        self._active_row = None
-        self._last_probed = set()
-        super()._execute(port, txn)
-        row = self._active_row
-        if row is not None and "refresh" in row.actions:
-            self._refresh(txn, {txn.requester} | self._last_probed)
 
     def _refresh(self, txn: BusTransaction, probed: set[CacheId]) -> None:
         """Re-derive directory membership for the caches this
@@ -147,10 +155,9 @@ class DirectoryFabric(Bus):
         keep: list[CacheId] = []
         drop: list[CacheId] = []
         for cid in probed:
-            view = self._ports.get(cid)
-            if view is None:
+            cache = self._ports.get(cid)
+            if cache is None:
                 continue
-            cache = _underlying(view)
             if not hasattr(cache, "array"):
                 # Cacheless ports (I/O) answer every snoop with a miss;
                 # the directory never needs to list them.
@@ -173,17 +180,20 @@ class DirectoryFabric(Bus):
 
     # -- timing and traffic --------------------------------------------------
 
-    def _duration(self, txn, response, replies, info) -> int:
-        cycles = super()._duration(txn, response, replies, info)
+    def _extra_cycles(self, lane: Bus, txn: BusTransaction,
+                      response: BusResponse,
+                      replies: dict[CacheId, SnoopReply]) -> int:
+        """Run the matched row's post-grant actions: charge its ``pay-*``
+        timing, tally its messages, and ``refresh`` membership for the
+        requester and the probed caches."""
         row = self._active_row
-        if row is None:
-            return cycles
-        topo = self._system.topology
+        topo = self.topology
         hop = topo.inter_cluster_hop_cycles
-        directory = self.directory
+        directory = self._bank
         probes = len(replies)
         supplied = response.supplier is not None
         actions = row.actions
+        cycles = 0
         if "pay-lookup" in actions:
             cycles += topo.directory_lookup_cycles
         if "pay-round-trip" in actions:
@@ -197,12 +207,12 @@ class DirectoryFabric(Bus):
         obs_active = self.obs.active
         if obs_active and "count-request" in actions:
             self.obs.record_directory_msgs(
-                self.clock.cycle, "request", txn.block, self.index)
+                self.clock.cycle, "request", txn.block, lane.index)
         if "count-response" in actions:
             directory.responses += 1
             if obs_active:
                 self.obs.record_directory_msgs(
-                    self.clock.cycle, "response", txn.block, self.index)
+                    self.clock.cycle, "response", txn.block, lane.index)
         if "tally-traffic" in actions:
             # Single source for the network message counts: the same
             # forward/invalidation/ack arithmetic feeds the bank's
@@ -215,45 +225,17 @@ class DirectoryFabric(Bus):
             if obs_active:
                 if supplied:
                     self.obs.record_directory_msgs(
-                        self.clock.cycle, "forward", txn.block, self.index)
+                        self.clock.cycle, "forward", txn.block, lane.index)
                 if probes:
                     self.obs.record_directory_msgs(
                         self.clock.cycle, "invalidation", txn.block,
-                        self.index, invalidations)
+                        lane.index, invalidations)
                     self.obs.record_directory_msgs(
-                        self.clock.cycle, "ack", txn.block, self.index,
+                        self.clock.cycle, "ack", txn.block, lane.index,
                         probes)
+        if "refresh" in actions:
+            self._refresh(txn, {txn.requester} | set(replies))
         return cycles
-
-
-class DirectorySystem(MultiBusSystem):
-    """``directory_banks`` home banks over block-interleaved partitions."""
-
-    def __init__(
-        self,
-        topology: TopologyConfig,
-        memory: "MainMemory",
-        timing: TimingConfig,
-        clock: "Clock",
-        stats: "SimStats",
-        trace: "TraceLog",
-        obs: "Observability" = None,  # type: ignore[assignment]
-    ) -> None:
-        from repro.obs.core import NULL_OBS
-
-        self.topology = topology
-        super().__init__(topology.directory_banks, memory, timing, clock,
-                         stats, trace, obs if obs is not None else NULL_OBS)
-
-    #: Home banks deliver by sharer set, not by the interest index.
-    indexed = False
-
-    def _make_bus(self, index: int) -> Bus:
-        return DirectoryFabric(self, index)
-
-    @property
-    def banks(self) -> list[DirectoryState]:
-        return [bus.directory for bus in self.buses]
 
     def message_tallies(self) -> dict[str, int]:
         """Point-to-point message counts summed over all home banks.

@@ -114,7 +114,6 @@ def _cache_sig(cache) -> tuple:
         (cache.busy_wait.phase.value, cache.busy_wait.block),
         _pending_sig(cache._pending),
         tuple((_need_sig(need), block) for need, block in cache._detached),
-        cache._held_block,
         _freeze(cache.scratch),
     )
 
@@ -133,10 +132,9 @@ def _processor_sig(processor) -> tuple:
     )
 
 
-def _bus_sig(bus, now: int) -> tuple:
-    buses = bus.buses if hasattr(bus, "buses") else [bus]
+def _bus_sig(fabric, now: int) -> tuple:
     sig = []
-    for one in buses:
+    for one in fabric.buses:
         sig.append((
             max(0, one._busy_until - now),
             one._active_port.id if one._active_port is not None else None,

@@ -80,9 +80,9 @@ def _directory_table_patch(builder: Callable[[], TransitionTable]):
     fabric instance looks rows up through ``self.table``, so the patch
     takes effect at once)."""
     def apply():
-        from repro.directory_backend.system import DirectoryFabric
+        from repro.directory_backend.system import DirectorySystem
 
-        return _patched(DirectoryFabric, "table", builder())
+        return _patched(DirectorySystem, "table", builder())
     return apply
 
 
@@ -155,9 +155,9 @@ def _drop_directory_ack() -> ContextManager:
     membership refresh the home bank drops the highest-numbered sharer
     from the block's entry, so later transactions never probe that cache
     and its stale copy keeps answering local reads."""
-    from repro.directory_backend.system import DirectoryFabric
+    from repro.directory_backend.system import DirectorySystem
 
-    original = DirectoryFabric._refresh
+    original = DirectorySystem._refresh
 
     def broken_refresh(self, txn, probed):
         original(self, txn, probed)
@@ -165,7 +165,19 @@ def _drop_directory_ack() -> ContextManager:
         if len(entry.sharers) > 1:
             entry.sharers.discard(max(entry.sharers))
 
-    return _patched(DirectoryFabric, "_refresh", broken_refresh)
+    return _patched(DirectorySystem, "_refresh", broken_refresh)
+
+
+def _drop_cluster_enrollment() -> ContextManager:
+    """The clustered fabric never enrolls the requester's cluster in the
+    block's interest set: broadcasts reach no cluster, so an exclusive
+    fetch leaves the other cluster's copy valid beside the writer."""
+    from repro.bus.hierarchy import ClusteredBusSystem
+
+    def broken_enroll(self, interested, cluster) -> None:
+        return None
+
+    return _patched(ClusteredBusSystem, "_enroll", broken_enroll)
 
 
 def _directory_lost_requester() -> TransitionTable:
@@ -311,6 +323,17 @@ MUTATIONS: dict[str, Mutation] = {
             scenario="directory-upgrade",
             caught_by="write oracle (stale read)",
             apply=_drop_directory_ack,
+        ),
+        Mutation(
+            name="clustered-drop-enrollment",
+            description="The requester's cluster is not enrolled in the "
+                        "block's interest set; the cluster filter drops "
+                        "the upgrade's snoops and the other cluster's "
+                        "copy survives beside the writer.",
+            protocol="bitar-despain",
+            scenario="clustered-upgrade",
+            caught_by="coherence invariant (multiple writers)",
+            apply=_drop_cluster_enrollment,
         ),
         Mutation(
             name="directory-lost-requester",

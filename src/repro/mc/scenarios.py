@@ -193,6 +193,21 @@ def _directory_upgrade(protocol: str):
     ]
 
 
+def _clustered_upgrade(protocol: str):
+    # The shared-upgrade access pattern on two snooping clusters: the
+    # upgrader (cluster 0) and the reader (cluster 1) share the block
+    # across the link, so the upgrade reaches the reader only if the
+    # reader's cluster enrolled in the block's interest set when it
+    # fetched.
+    config = _config(protocol, 2,
+                     topology=TopologyConfig(kind="clustered", clusters=2))
+    return config, [
+        Program(ops=[read(DATA_WORD), write(DATA_WORD, value=7)],
+                name="upgrader"),
+        Program(ops=[read(DATA_WORD), read(DATA_WORD)], name="reader"),
+    ]
+
+
 def _directory_overflow(protocol: str):
     # The same upgrade-over-shared-copy pattern, but the home bank tracks
     # sharers with a one-pointer limited-pointer entry: the second reader
@@ -260,6 +275,14 @@ SCENARIOS: dict[str, Scenario] = {
                         "bank's sharer vector must still reach every live "
                         "copy.",
             build=_directory_upgrade,
+        ),
+        Scenario(
+            name="clustered-upgrade",
+            description="Write privilege upgraded over a shared copy in "
+                        "another cluster: the block's cluster interest "
+                        "set must admit the upgrade to every cluster "
+                        "holding a copy.",
+            build=_clustered_upgrade,
         ),
         Scenario(
             name="directory-overflow",

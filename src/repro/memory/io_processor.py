@@ -45,6 +45,9 @@ class IoRequest:
 class IOProcessor:
     """A cacheless bus port performing I/O transfers."""
 
+    #: It cannot post (no ``connect_ready``): it requests on lane 0.
+    request_bus = 0
+
     def __init__(self, memory: "MainMemory", stamp_clock: "StampClock",
                  stats: "SimStats") -> None:
         self.id = IO_CACHE_ID

@@ -46,7 +46,6 @@ import heapq
 import time
 from typing import Sequence
 
-from repro.bus.bus import Bus
 from repro.cache.cache import SnoopingCache
 from repro.common.config import RmwMethod, SystemConfig, WaitMode
 from repro.common.errors import ConfigError, DeadlockError, WatchdogTimeout

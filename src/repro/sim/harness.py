@@ -7,11 +7,12 @@ protocol transitions observable without writing full programs.
 
 from __future__ import annotations
 
-from repro.bus.bus import Bus
+from repro.bus.fabric import build_fabric
 from repro.cache.cache import AccessStatus, SnoopingCache
-from repro.common.config import CacheConfig, SystemConfig, TimingConfig
+from repro.common.config import CacheConfig, TimingConfig, TopologyConfig
 from repro.common.errors import DeadlockError
 from repro.memory.main_memory import MainMemory
+from repro.obs.core import NULL_OBS
 from repro.processor.isa import Op, OpKind
 from repro.protocols import get_protocol
 from repro.sim.clock import Clock, StampClock
@@ -41,7 +42,8 @@ class ManualSystem:
         cache_config = cache_config or CacheConfig()
         timing = timing or TimingConfig()
         self.memory = MainMemory(cache_config.words_per_block)
-        self.bus = Bus(self.memory, timing, self.clock, self.stats, self.trace)
+        self.bus = build_fabric(TopologyConfig(), self.memory, timing,
+                                self.clock, self.stats, self.trace, NULL_OBS)
         self.oracle = WriteOracle(self.stats, strict=strict) if with_oracle else None
         protocol_cls = get_protocol(protocol)
         self.caches: list[SnoopingCache] = []

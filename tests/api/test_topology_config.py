@@ -1,6 +1,6 @@
 """The TopologyConfig API redesign: typed fabric geometry on
-SystemConfig, the deprecated ``num_buses`` alias, the fabric registry,
-and the topology stamp on result payloads."""
+SystemConfig, the removed ``num_buses`` alias, the fabric registry, and
+the topology stamp on result payloads."""
 
 import warnings
 
@@ -54,33 +54,13 @@ class TestSystemConfigIntegration:
     def test_default_system_config_is_snoop(self):
         config = SystemConfig()
         assert config.topology == TopologyConfig()
-        assert config.num_buses == 1
+        assert config.topology.num_buses == 1
 
-    def test_num_buses_alias_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="num_buses is deprecated"):
-            config = SystemConfig(num_buses=2)
-        assert config.topology is not None
-        assert config.topology.kind == "multibus"
-        assert config.topology.buses == 2
-        assert config.num_buses == 2
-
-    def test_num_buses_one_maps_to_snoop(self):
-        with pytest.warns(DeprecationWarning):
-            config = SystemConfig(num_buses=1)
-        assert config.topology.kind == "snoop"
-
-    def test_conflicting_alias_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ConfigError, match="conflicts with"):
-                SystemConfig(num_buses=3, topology=TopologyConfig())
-
-    def test_agreeing_alias_accepted(self):
-        with pytest.warns(DeprecationWarning):
-            config = SystemConfig(
-                num_buses=2, topology=TopologyConfig(kind="multibus",
-                                                     buses=2))
-        assert config.topology.buses == 2
+    def test_num_buses_keyword_is_rejected(self):
+        """The alias is gone: the lane count lives on the topology."""
+        assert not hasattr(SystemConfig(), "num_buses")
+        with pytest.raises(TypeError, match="num_buses"):
+            SystemConfig(num_buses=2)
 
     def test_to_dict_omits_the_alias(self):
         payload = SystemConfig(topology=TopologyConfig(kind="directory",
@@ -97,11 +77,10 @@ class TestSystemConfigIntegration:
             rebuilt = SystemConfig.from_dict(config.to_dict())
         assert rebuilt == config
 
-    def test_legacy_payload_with_num_buses_still_loads(self):
+    def test_payload_with_num_buses_is_rejected(self):
         payload = {"num_processors": 4, "num_buses": 2}
-        with pytest.warns(DeprecationWarning):
-            config = SystemConfig.from_dict(payload)
-        assert config.topology.kind == "multibus"
+        with pytest.raises(ConfigError, match=r"system\.num_buses"):
+            SystemConfig.from_dict(payload)
 
 
 class TestFabricRegistry:

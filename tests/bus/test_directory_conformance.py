@@ -19,7 +19,6 @@ when the directory's observable behavior changes *on purpose*.
 import dataclasses
 import functools
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -139,12 +138,7 @@ class TestCompactRepresentationsStayCoherent:
             topo = TopologyConfig(kind="directory",
                                   directory_entry="coarse-vector",
                                   directory_region_size=2)
-            with warnings.catch_warnings():
-                # replace() re-passes every field, including the
-                # deprecated num_buses passthrough.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                config = dataclasses.replace(config, topology=topo)
-            return config, programs
+            return dataclasses.replace(config, topology=topo), programs
 
         scenario = mc.Scenario(
             name="directory-overflow-coarse",

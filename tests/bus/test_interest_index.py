@@ -17,8 +17,9 @@ from __future__ import annotations
 import pytest
 
 from repro import CacheConfig, SystemConfig
-from repro.bus.multibus import MultiBusSystem
+from repro.bus.fabric import build_fabric
 from repro.common.config import RmwMethod, TimingConfig, TopologyConfig
+from repro.obs.core import NULL_OBS
 from repro.processor import isa
 from repro.processor.program import Program
 from repro.sim.engine import Simulator
@@ -47,15 +48,7 @@ def _config(topology: TopologyConfig, n: int = 6, **kwargs) -> SystemConfig:
 
 
 def _owning_bus(sim, block: int):
-    fabric = sim.bus
-    if isinstance(fabric, MultiBusSystem):
-        return fabric.buses[fabric.bus_of(block)]
-    return fabric
-
-
-def _buses(sim) -> list:
-    fabric = sim.bus
-    return fabric.buses if isinstance(fabric, MultiBusSystem) else [fabric]
+    return sim.bus.buses[sim.bus.bus_of(block)]
 
 
 def _check_indexed(sim, blocks: set[int]) -> int:
@@ -67,7 +60,8 @@ def _check_indexed(sim, blocks: set[int]) -> int:
     for cache in sim.caches:
         for block in blocks:
             bus = _owning_bus(sim, block)
-            indexed = bus._position[cache.id] in bus._interest.get(block, ())
+            position = sim.bus._position[cache.id]
+            indexed = position in bus._interest.get(block, ())
             cares = cache.cares_about(block)
             assert indexed == cares, (
                 f"cycle {sim.clock.cycle}: cache {cache.id} "
@@ -75,7 +69,7 @@ def _check_indexed(sim, blocks: set[int]) -> int:
                 f"{block} but {'is not indexed' if cares else 'does not care'}"
                 f" on bus {bus.index}")
             caring += cares
-    for bus in _buses(sim):
+    for bus in sim.bus.buses:
         for block in bus._interest:
             assert _owning_bus(sim, block) is bus
     return caring
@@ -110,40 +104,24 @@ WORKLOADS = {
                        {"rmw_method": RmwMethod.CACHE_HOLD}),
 }
 
-#: Blocks the hold injection picks from (one per bus of a two-bus
-#: fabric, both touched by the RMW program, plus one nobody touches).
-HELD = (0, 4, 32)
+#: Blocks checked beyond the programs' own: one nobody touches.
+UNTOUCHED = (32,)
 
 
-def _run_checked(config: SystemConfig, make_programs, scheduler=None,
-                 hold: bool = False):
+def _run_checked(config: SystemConfig, make_programs, scheduler=None):
     programs = make_programs(config)
     sim = Simulator(config, programs, scheduler=scheduler)
-    blocks = _blocks_of(programs, HELD)
+    blocks = _blocks_of(programs, UNTOUCHED)
     bus_step = sim.bus.step
     steps = []
-    holds = []
 
     def step():
         active = bus_step()
-        n = len(steps)
-        if hold:
-            # An RMW hold on a rotating cache for three steps at a time:
-            # the held block is refused to every other requester.
-            if holds and n - holds[-1][1] >= 3:
-                cache, _ = holds.pop()
-                cache.release_hold()
-            if not holds and n % 5 == 0:
-                cache = sim.caches[(n // 5) % len(sim.caches)]
-                cache.hold_block(HELD[(n // 5) % len(HELD)])
-                holds.append((cache, n))
         steps.append(_check_indexed(sim, blocks))
         return active
 
     sim.bus.step = step
     stats = sim.run()
-    for cache, _ in holds:
-        cache.release_hold()
     _check_indexed(sim, blocks)
     return sim, stats, sum(steps)
 
@@ -157,16 +135,12 @@ class TestIndexCompleteness:
         make_programs, options = WORKLOADS[workload]
         config = _config(TOPOLOGIES[name], **options)
         scheduler = RandomScheduler(11) if seeded else None
-        hold = workload == "cache-hold-rmw"
-        sim, stats, caring = _run_checked(config, make_programs, scheduler,
-                                          hold=hold)
+        sim, stats, caring = _run_checked(config, make_programs, scheduler)
         assert sim.done
         assert caring > 0
         if workload == "lock-contention":
             assert stats.unlock_broadcasts > 0
             assert stats.lock_waits_started > 0
-        if hold:
-            assert sum(bus.retries for bus in _buses(sim)) > 0
         assert stats.stale_reads == 0
 
     def test_delivery_skips_caches_that_do_not_care(self):
@@ -203,7 +177,7 @@ class TestPushSites:
     index at once (ManualSystem: one snoop bus, no processors)."""
 
     def _indexed(self, sys: ManualSystem, cache: int, block: int) -> bool:
-        return cache in sys.bus._interest.get(block, ())
+        return cache in sys.bus.buses[0]._interest.get(block, ())
 
     def test_install_tags_and_retags(self):
         sys = ManualSystem(n_caches=2, cache_config=CacheConfig(
@@ -221,21 +195,6 @@ class TestPushSites:
         assert sys.caches[0].line_for(0) is None
         assert sys.caches[0].cares_about(0)
         assert self._indexed(sys, 0, 0)
-
-    def test_hold_is_indexed_and_refuses(self):
-        """A hold on a block the cache never tagged must still refuse
-        other caches' requests for it."""
-        sys = ManualSystem(n_caches=2)
-        sys.caches[0].hold_block(0)
-        assert self._indexed(sys, 0, 0)
-        sys.submit(1, isa.read(0))
-        for _ in range(20):
-            sys.step()
-        assert sys.bus.retries > 0
-        sys.caches[0].release_hold()
-        assert not self._indexed(sys, 0, 0)
-        sys.drain()
-        assert sys.caches[1].take_completion() is not None
 
     def test_wait_is_indexed_until_cancelled(self):
         sys = ManualSystem(n_caches=2)
@@ -277,8 +236,9 @@ def _manual(fabric: str, protocol: str) -> ManualSystem:
     sys = ManualSystem(protocol, n_caches=3, cache_config=CacheConfig(
         words_per_block=WORDS, num_blocks=8))
     if fabric == "multibus-2":
-        bus = MultiBusSystem(2, sys.memory, TimingConfig(), sys.clock,
-                             sys.stats, sys.trace)
+        bus = build_fabric(TopologyConfig(kind="multibus", buses=2),
+                           sys.memory, TimingConfig(), sys.clock, sys.stats,
+                           sys.trace, NULL_OBS)
         for cache in sys.caches:
             bus.attach(cache)
         sys.bus = bus

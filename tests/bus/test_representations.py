@@ -218,7 +218,7 @@ class TestCaresAbout:
         assert not cache.cares_about(uncared)
         reply = cache.snoop(BusTransaction(
             op=BusOp.READ_BLOCK, block=uncared, requester=1))
-        assert not reply.hit and not reply.supplies and not reply.retry
+        assert not reply.hit and not reply.supplies
 
 
 class TestDirectoryAccounting:

@@ -45,10 +45,6 @@ class TestCombine:
         assert r.locked
         assert r.shared_hit
 
-    def test_retry_propagates(self):
-        r = BusResponse.combine({1: SnoopReply(retry=True)})
-        assert r.retry
-
     def test_repliers_listed(self):
         r = BusResponse.combine({
             1: SnoopReply(hit=True),

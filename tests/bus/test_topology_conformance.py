@@ -1,11 +1,12 @@
 """Fabric conformance: the trivial geometries of every fabric must be
 bit-identical to the single snooping bus, on all ten protocols.
 
-``multibus`` with one bus is the port-view wrapper with no partitioning;
-``clustered`` with one cluster of one bus admits every snoop through the
-interest filter and pays no link hops.  Either reduction changing a
-single statistic would mean the wrapper (not the topology) perturbs the
-simulation.
+``multibus`` with one bus is the very fabric ``snoop`` builds, reached
+through the multibus topology; ``clustered`` with one cluster of one bus
+is the same one-lane fabric under the cluster delivery rule, which
+admits every snoop through the interest filter and pays no link hops.
+Either reduction changing a single statistic would mean the delivery
+rule or the lane wiring (not the topology) perturbs the simulation.
 """
 
 import pytest

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import sys
 import weakref
 
 import pytest
 
 from repro import CacheConfig, SystemConfig
-from repro.bus.multibus import MultiBusSystem, _BusPortView
+from repro.bus.bus import Bus
 from repro.cache.cache import SnoopingCache
 from repro.common.config import TopologyConfig
 from repro.common.errors import DeadlockError
@@ -70,10 +71,6 @@ def _stream_programs(config: SystemConfig) -> list:
     return scale_probe(config, total_references=48 * config.num_processors)
 
 
-def _buses(sim: Simulator) -> list:
-    return sim.bus.buses if isinstance(sim.bus, MultiBusSystem) else [sim.bus]
-
-
 def _acts_now(p: Processor, now: int) -> bool:
     """``next_event_cycle(now) == now`` for a processor whose passive
     cycles may still be owed: a computing processor's countdown stands
@@ -87,13 +84,18 @@ def _routes_to(sim: Simulator, port, bus_index: int) -> bool:
     """Whether ``port`` has a request for bus ``bus_index``, with the
     routing worked out afresh from the request head's block rather than
     read from what the port recorded when it posted."""
-    port = getattr(port, "_port", port)  # unwrap a multi-bus view
     if not port.has_request_hint():
         return False
     block = getattr(port, "current_request_block", lambda: None)()
-    if block is None or not isinstance(sim.bus, MultiBusSystem):
+    if block is None:
         return bus_index == 0
     return sim.bus.bus_of(block) == bus_index
+
+
+def _routed_here(port, bus) -> bool:
+    """Whether ``bus`` sees a request of ``port``: one whose hint is up
+    and that the port routed to ``bus`` when it posted."""
+    return port.has_request_hint() and port.request_bus == bus.index
 
 
 def _presence(cache) -> bool:
@@ -132,22 +134,22 @@ def _check_complete(sim: Simulator, seen: dict) -> int:
     request is missing from the high set.  Returns the number of facts
     checked."""
     checked = 0
-    for bus in _buses(sim):
-        for position, port in enumerate(bus._port_list):
-            assert port.has_request_hint() == _routes_to(sim, port, bus.index)
-            if not port.has_request_hint():
+    for bus in sim.bus.buses:
+        for position, port in enumerate(sim.bus._port_list):
+            routed = _routed_here(port, bus)
+            assert routed == _routes_to(sim, port, bus.index)
+            if not routed:
                 continue
             checked += 1
             assert position in bus._ready or position in bus._polled, (
                 f"bus {bus.index}: port {port.id} has a request routed "
                 f"here but is not in the ready set")
-            cache = getattr(port, "_port", port)
             if position in bus._dirty or position in bus._polled:
                 continue
-            assert cache.request_block == cache.current_request_block()
-            if not cache._detached:
+            assert port.request_block == port.current_request_block()
+            if not port._detached:
                 checked += 1
-                assert not _needs_revalidation(cache, seen), (
+                assert not _needs_revalidation(port, seen), (
                     f"bus {bus.index}: port {port.id}'s request or tags "
                     f"changed since its last revalidation, but it is not "
                     f"in the dirty set")
@@ -264,7 +266,9 @@ class _Counts:
     """Calls made to the methods the loop spends its per-event work on:
     port polls by the buses (split by whether the port had a request
     routed to the polling bus), request revalidations, and processor
-    bookkeeping."""
+    bookkeeping.  A bus polls a cache by first reading its
+    ``request_bus`` (the routing check), so the polls are counted at
+    the cache, as the reads of that attribute made by a bus."""
 
     BOOKKEEPING = ("tick", "settle", "next_event_cycle")
 
@@ -273,30 +277,27 @@ class _Counts:
         self.revalidations = 0
         self.events = 0
         counts = self
-        hint = _BusPortView.has_request_hint
-        request = _BusPortView.has_bus_request
         revalidate = SnoopingCache._revalidate_pending
 
-        def tally(view) -> None:
-            if view._port.has_request_hint() and view._routed_here():
-                counts.live_polls += 1
-            else:
-                counts.idle_polls += 1
+        def read_route(cache) -> int:
+            route = cache.__dict__["request_bus"]
+            bus = sys._getframe(1).f_locals.get("self")
+            if isinstance(bus, Bus):
+                if cache.has_request_hint() and route == bus.index:
+                    counts.live_polls += 1
+                else:
+                    counts.idle_polls += 1
+            return route
 
-        def has_request_hint(view):
-            tally(view)
-            return hint(view)
-
-        def has_bus_request(view):
-            tally(view)
-            return request(view)
+        def write_route(cache, route: int) -> None:
+            cache.__dict__["request_bus"] = route
 
         def revalidate_pending(cache, pending):
             counts.revalidations += 1
             return revalidate(cache, pending)
 
-        patch.setattr(_BusPortView, "has_request_hint", has_request_hint)
-        patch.setattr(_BusPortView, "has_bus_request", has_bus_request)
+        patch.setattr(SnoopingCache, "request_bus",
+                      property(read_route, write_route), raising=False)
         patch.setattr(SnoopingCache, "_revalidate_pending", revalidate_pending)
         for name in self.BOOKKEEPING:
             original = getattr(Processor, name)
